@@ -30,7 +30,7 @@ from repro.mining.awsum import AWSumClassifier
 from repro.mining.naive_bayes import NaiveBayesClassifier
 from repro.obs.explain import ExplainReport
 from repro.olap.crosstab import Crosstab
-from repro.olap.cube import Cube, CubeSnapshot
+from repro.olap.cube import Cube, CubeRuntime, CubeSnapshot
 from repro.olap.mdx.evaluator import execute_mdx
 from repro.olap.query import QueryBuilder
 from repro.planner import PlannerConfig, QueryPlanner, coerce_planner, select_nodes
@@ -107,9 +107,7 @@ class SystemConfig:
     :class:`~repro.storage.columnar.StorageConfig` for explicit choices
     (partitioning spec, per-column encodings, scan executor).  Filtered
     queries then prune partitions via zone maps before any kernel runs —
-    answers stay byte-identical.  The legacy direct spellings
-    ``partitioning=`` / ``scan_procs=`` still work behind a
-    ``DeprecationWarning`` and fold into ``storage``.
+    answers stay byte-identical.
 
     ``planner`` attaches the cost-based query planner (DESIGN.md
     §"Cost-based planning"): ``True`` (the default) for a fresh planner
@@ -129,43 +127,7 @@ class SystemConfig:
     max_workers: int | None = None
     serving: "ServingRuntime | ServingConfig | bool | None" = None
     storage: "object | bool | None" = None
-    #: deprecated: use ``storage=StorageConfig(partitioning=...)``
-    partitioning: "object | None" = None
-    #: deprecated: use ``storage=StorageConfig(scan_procs=...)``
-    scan_procs: int | None = None
     planner: "QueryPlanner | PlannerConfig | bool | None" = True
-
-    def __post_init__(self) -> None:
-        # Deprecation shims (the repro.persistence precedent): the old
-        # direct attributes keep working, emit a warning, and fold into
-        # the canonical ``storage=StorageConfig(...)`` spelling.
-        if self.partitioning is None and self.scan_procs is None:
-            return
-        from repro.storage.columnar import StorageConfig, coerce_storage
-
-        warnings.warn(
-            "SystemConfig(partitioning=..., scan_procs=...) is deprecated; "
-            "use SystemConfig(storage=StorageConfig(partitioning=..., "
-            "scan_procs=...)) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        base = coerce_storage(self.storage) or StorageConfig()
-        merged = StorageConfig(
-            partitioning=(
-                self.partitioning
-                if self.partitioning is not None
-                else base.partitioning
-            ),
-            encodings=base.encodings,
-            scan_executor=base.scan_executor,
-            scan_procs=(
-                self.scan_procs if self.scan_procs is not None else base.scan_procs
-            ),
-        )
-        object.__setattr__(self, "storage", merged)
-        object.__setattr__(self, "partitioning", None)
-        object.__setattr__(self, "scan_procs", None)
 
 
 class DDDGMS:
@@ -237,15 +199,11 @@ class DDDGMS:
         #: serialises ingest/fold/redrive against each other; readers never
         #: take it — they pin epochs instead (see DESIGN.md serving model)
         self._writer_lock = threading.RLock()
-        #: versioned result cache, re-attached to every rebuilt cube
-        self._result_cache: ResultCache | None = None
-        #: admission gate + breakers, re-attached to every rebuilt cube
-        self._serving: ServingRuntime | None = None
-        #: partitioned-storage config, applied to every (re)built cube
-        self._storage_config = None
-        #: cost-based query planner, re-attached to every rebuilt cube
-        #: (cold it changes nothing; see repro.planner)
-        self._planner: "QueryPlanner | None" = QueryPlanner()
+        #: result cache, admission gate, planner and storage config — one
+        #: holder shared by reference with every cube this system builds,
+        #: so a rebuilt successor cube serves with the same objects (the
+        #: planner is on from the start: cold, it changes nothing)
+        self.runtime = CubeRuntime(planner=QueryPlanner())
         #: how materialize_lattice last chose its groups, re-applied on
         #: every ingest rebuild ("fixed" or "adaptive")
         self._lattice_policy: str = "fixed"
@@ -281,7 +239,7 @@ class DDDGMS:
             self.etl_audit = self._built.etl_result.audit
             # managed: readers never flatten a half-mutated warehouse; only
             # the writer's explicit publish (at commit) moves the epoch
-            self.cube = self._new_cube(self.warehouse)
+            self.cube = Cube(self.warehouse, managed=True, runtime=self.runtime)
             self.knowledge_base = KnowledgeBase(promotion_threshold)
             #: feedback builders folded so far, replayed after every re-ingest
             self._feedback_builders: list[FeedbackDimensionBuilder] = []
@@ -429,77 +387,55 @@ class DDDGMS:
         """Attach (or detach, with ``None``) the versioned result cache.
 
         Accepts every ``SystemConfig(cache=...)`` spelling.  The cache
-        survives ingest rebuilds: it is re-attached to each successor
-        cube, and epoch-unique keys guarantee entries computed on an old
+        lives in the shared :attr:`runtime`, so it survives ingest
+        rebuilds; epoch-unique keys guarantee entries computed on an old
         epoch are never served for a new one.
         """
-        self._result_cache = coerce_cache(cache)
-        self.cube.attach_result_cache(self._result_cache)
-        return self._result_cache
+        self.runtime.cache = coerce_cache(cache)
+        return self.runtime.cache
 
     @property
     def result_cache(self) -> ResultCache | None:
         """The attached result cache, if any."""
-        return self._result_cache
+        return self.runtime.cache
 
     def attach_serving(
         self, serving: "ServingRuntime | ServingConfig | bool | None"
     ) -> ServingRuntime | None:
         """Attach (or detach, with ``None``) admission control + breakers.
 
-        Accepts every ``SystemConfig(serving=...)`` spelling.  Like the
-        result cache, the runtime survives ingest rebuilds — it is
-        re-attached to each successor cube, so the limits govern the
-        *system*, not one epoch.
+        Accepts every ``SystemConfig(serving=...)`` spelling.  The limits
+        govern the *system*, not one epoch: every rebuilt cube shares the
+        runtime.
         """
-        self._serving = coerce_serving(serving)
-        self.cube.attach_serving(self._serving)
-        return self._serving
+        self.runtime.serving = coerce_serving(serving)
+        return self.runtime.serving
 
     def attach_planner(
         self, planner: "QueryPlanner | PlannerConfig | bool | None"
     ) -> QueryPlanner | None:
         """Attach (or detach, with ``None``) the cost-based query planner.
 
-        Accepts every ``SystemConfig(planner=...)`` spelling.  Like the
-        result cache, the planner survives ingest rebuilds — it is
-        re-attached to each successor cube, so the workload statistics
-        it learns describe the *system*, not one epoch.  Detaching also
+        Accepts every ``SystemConfig(planner=...)`` spelling.  The
+        workload statistics it learns describe the *system*, not one
+        epoch: every rebuilt cube shares the planner.  Detaching also
         forgets an adaptive materialization policy (the selector cannot
         run without recorded statistics).
         """
-        self._planner = coerce_planner(planner)
-        self.cube.attach_planner(self._planner)
-        if self._planner is None and self._lattice_policy == "adaptive":
+        self.runtime.planner = coerce_planner(planner)
+        if self.runtime.planner is None and self._lattice_policy == "adaptive":
             self._lattice_policy = "fixed"
-        return self._planner
+        return self.runtime.planner
 
     @property
     def planner(self) -> QueryPlanner | None:
         """The attached query planner, if any."""
-        return self._planner
+        return self.runtime.planner
 
     @property
     def serving(self) -> ServingRuntime | None:
         """The attached serving runtime (admission + breakers), if any."""
-        return self._serving
-
-    def _new_cube(self, warehouse) -> Cube:
-        """A managed cube with the system's storage config pre-attached.
-
-        Storage must attach at *construction*, not commit: lattice
-        re-materialisation forces the new cube's epoch before
-        :meth:`_commit_cube` runs, and that first epoch must already be
-        partitioned or the whole rebuild serves monolithic.
-        """
-        cube = Cube(warehouse, managed=True)
-        if self._storage_config is not None:
-            cube.attach_storage(self._storage_config)
-        if self._planner is not None:
-            # attached at construction too (not just commit) so queries
-            # served while the cube is staged feed the same workload model
-            cube.attach_planner(self._planner)
-        return cube
+        return self.runtime.serving
 
     def attach_storage(self, storage) -> "object | None":
         """Attach (or detach, with ``None``) partitioned columnar storage.
@@ -512,20 +448,12 @@ class DDDGMS:
         immediately (a re-materialised lattice is the caller's job).
         Returns the coerced config.
         """
-        from repro.storage.columnar import coerce_storage
-
         with self._writer_lock:
-            self._storage_config = coerce_storage(storage)
-            self.cube.attach_storage(self._storage_config)
+            self.cube.attach_storage(storage)
             if self.cube._state is not None:
                 state = self.cube.publish()
                 self._cache_epoch_published(state.epoch)
-        return self._storage_config
-
-    @property
-    def storage_config(self):
-        """The attached partitioned-storage config, if any."""
-        return self._storage_config
+        return self.runtime.storage
 
     def compact_storage(self):
         """Merge the current epoch's delta segments (writer-serialised).
@@ -542,7 +470,7 @@ class DDDGMS:
 
     def _storage_health(self) -> "dict | None":
         """Segment/encoding stats for ``ingest_health()`` (None if unused)."""
-        if self._storage_config is None:
+        if self.runtime.storage is None:
             return None
         from repro.storage.columnar import executor as _scan_executor
 
@@ -576,19 +504,13 @@ class DDDGMS:
         the old cube (old epoch, fully intact) or the new cube with its
         epoch ready — never a half-built state.
         """
-        if self._result_cache is not None:
-            cube.attach_result_cache(self._result_cache)
-        if self._serving is not None:
-            cube.attach_serving(self._serving)
-        if self._planner is not None:
-            cube.attach_planner(self._planner)
         state = cube._current_state()
         self.cube = cube
         self._cache_epoch_published(state.epoch)
 
     def _cache_epoch_published(self, epoch: int) -> None:
-        if self._result_cache is not None:
-            self._result_cache.on_epoch_published(epoch)
+        if self.runtime.cache is not None:
+            self.runtime.cache.on_epoch_published(epoch)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -689,7 +611,7 @@ class DDDGMS:
                     "policy='adaptive' chooses its own level groups; drop "
                     "level_groups or use policy='fixed'"
                 )
-            if self._planner is None:
+            if self.runtime.planner is None:
                 raise OLAPError(
                     "adaptive materialization needs an attached planner "
                     "(SystemConfig(planner=...) or attach_planner(True))"
@@ -720,7 +642,7 @@ class DDDGMS:
         selection describes the epoch about to be published).  Records
         the materialize/evict decision in ``maintenance["planner"]``.
         """
-        planner = self._planner
+        planner = self.runtime.planner
         assert planner is not None  # callers gate on the attached planner
         cfg = planner.config
         overrides = self._lattice_budgets
@@ -1033,7 +955,9 @@ class DDDGMS:
             source = self.source.append(batch_tbl)
             with obs.span("dgms.ingest.rebuild"):
                 built = build_discri_warehouse(source)
-                cube = self._new_cube(built.warehouse)
+                cube = Cube(
+                    built.warehouse, managed=True, runtime=self.runtime
+                )
             with obs.span(
                 "dgms.ingest.feedback_replay",
                 builders=len(self._feedback_builders),
@@ -1170,7 +1094,7 @@ class DDDGMS:
         """
         staged = ListSink()
         built = build_discri_warehouse(source, quarantine=staged, batch=batch)
-        cube = self._new_cube(built.warehouse)
+        cube = Cube(built.warehouse, managed=True, runtime=self.runtime)
         return built, cube, staged
 
     def _commit_staged(self, staged: ListSink) -> None:
@@ -1499,6 +1423,7 @@ class DDDGMS:
         """
         q = self.quarantine
         is_store = isinstance(q, QuarantineStore)
+        runtime = self.runtime
         return {
             "resilient": q is not None,
             "durable": self.durable_root is not None,
@@ -1519,20 +1444,22 @@ class DDDGMS:
             },
             "planner": (
                 {
-                    **self._planner.snapshot(),
+                    **runtime.planner.snapshot(),
                     "lattice_policy": self._lattice_policy,
                     "decisions": dict(self.maintenance["planner"]),
                 }
-                if self._planner is not None
+                if runtime.planner is not None
                 else None
             ),
             "result_cache": (
-                self._result_cache.stats_snapshot()
-                if self._result_cache is not None
+                runtime.cache.stats_snapshot()
+                if runtime.cache is not None
                 else None
             ),
             "serving": (
-                self._serving.snapshot() if self._serving is not None else None
+                runtime.serving.snapshot()
+                if runtime.serving is not None
+                else None
             ),
             "storage": self._storage_health(),
             #: breakers are process-global — report them even without a
@@ -1626,7 +1553,7 @@ class DDDGMS:
         from repro.olap.materialized import MaterializedCube
 
         groups = self._lattice_groups
-        if self._lattice_policy == "adaptive" and self._planner is not None:
+        if self._lattice_policy == "adaptive" and self.runtime.planner is not None:
             # re-run the selection against the workload recorded so far:
             # hot nodes follow the traffic across ingest rebuilds, and
             # nodes the workload no longer earns are evicted here

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Hashable, Mapping, NamedTuple, Sequence
 
 from repro import obs
 from repro.errors import (
@@ -40,7 +41,7 @@ from repro.warehouse.star import StarSchema
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.olap.materialized import MaterializedCube
     from repro.olap.query import QueryBuilder
-    from repro.planner import QueryPlanner
+    from repro.planner import PlanSignature, QueryPlanner
     from repro.serving.admission import ServingRuntime
     from repro.serving.cache import ResultCache
     from repro.storage.columnar import PartitionedStore, StorageConfig
@@ -212,7 +213,467 @@ def _partition_detail(stats) -> str:
     return json.dumps(stats.partitions, separators=(",", ":"))
 
 
-class Cube:
+@dataclass(slots=True)
+class CubeRuntime:
+    """What a cube serves *with*: cache, admission, planner, storage config.
+
+    One small mutable holder, shared **by reference**: ``DDDGMS`` creates
+    one and hands it to every cube it builds (and every snapshot those
+    cubes pin), so attaching or detaching a component is a single field
+    assignment that the current cube and all its successors see — there
+    is nothing to re-attach after a rebuild.  A bare ``Cube(schema)``
+    gets an empty one of its own.  The lattice is *not* here: it pins an
+    epoch, so it belongs to the cube.
+    """
+
+    #: versioned result cache (epoch ids are process-unique, so entries
+    #: of one cube can never alias a successor's state)
+    cache: "ResultCache | None" = None
+    #: admission gate + default deadline for the query front-ends
+    serving: "ServingRuntime | None" = None
+    #: workload statistics + cost-based routing (cold, it changes nothing)
+    planner: "QueryPlanner | None" = None
+    #: partitioning/encoding of every *future* epoch build
+    storage: "StorageConfig | None" = None
+
+
+class AggregatePlan(NamedTuple):
+    """One aggregate request, resolved once and carried down the pipeline."""
+
+    #: qualified grouping levels, in output column order
+    levels: tuple[str, ...]
+    #: output column -> (target, function), defaulted to the record count
+    aggregations: Mapping[str, tuple[str, str]]
+    filters: Expression | None
+    force: bool
+    #: canonical request identity (:func:`plan_key`) — the cache key
+    key: Hashable
+    #: the planner pinned for this query (None: route by the fixed preference)
+    planner: "QueryPlanner | None"
+    #: planner signature of the request (None without a planner)
+    signature: "PlanSignature | None"
+    #: zone-map row estimate for the base route (0 without a planner)
+    base_rows: int
+
+
+class Executed(NamedTuple):
+    """What the execute stage ran: the answer plus its measured route cost."""
+
+    table: Table
+    #: ``"node"`` (work units: node cells) or ``"base"`` (estimated rows)
+    kind: str
+    units: int
+    ms: float
+
+
+def _guarded(dependency: str, fn: Callable, *args) -> tuple[bool, object]:
+    """Run ``fn(*args)`` behind ``dependency``'s breaker: ``(answered, value)``.
+
+    The single implementation of the degradation ladder (DESIGN.md
+    §"The read pipeline"): every rung that can be skipped — cache get,
+    lattice, cache put — calls through here, and ``answered=False`` tells
+    the caller to take the next rung down.  Every exit from a granted
+    ``allow()`` reports back to the breaker:
+
+    * a dependency fault (any other exception) scores a failure and
+      degrades, as does a breaker that refuses outright;
+    * deadline expiry and cancellation are the *query's* outcome and
+      propagate, but still count against the tier that stalled, so a
+      wedged dependency opens its breaker and later queries skip it;
+    * an :class:`OLAPError` is the query's own fault — the dependency
+      answered, so it scores a success and propagates;
+    * a :class:`SimulatedCrash` says nothing about the dependency: the
+      probe is released unscored and the crash propagates.
+    """
+    brk = resilience.breaker(dependency)
+    if brk.allow():
+        try:
+            value = fn(*args)
+        except (QueryTimeoutError, QueryCancelledError):
+            brk.record_failure()
+            raise
+        except OLAPError:
+            brk.record_success()
+            raise
+        except SimulatedCrash:
+            brk.release()
+            raise
+        except Exception:
+            brk.record_failure()
+        else:
+            brk.record_success()
+            return True, value
+    obs.count(f"serving.degraded.{dependency}")
+    return False, None
+
+
+def _cache_get(cache: "ResultCache", epoch: int, key: Hashable) -> Table | None:
+    faults.fire("serving.cache")
+    return cache.get(epoch, key)
+
+
+def _cache_put(cache: "ResultCache", epoch: int, key: Hashable, table: Table) -> None:
+    faults.fire("serving.cache")
+    cache.put(epoch, key, table)
+
+
+class _CubeReads:
+    """The read API over one pinned ``(state, lattice, runtime)``.
+
+    Shared by :class:`Cube` (which pins its current epoch per call) and
+    :class:`CubeSnapshot` (pinned for life): metadata, level validation
+    and the one aggregate pipeline, :meth:`_aggregate`.
+    """
+
+    #: implicit measure: number of fact rows in the cell
+    RECORDS = "records"
+
+    name: str
+    schema: StarSchema
+    runtime: CubeRuntime
+    _lattice: "MaterializedCube | None"
+
+    def _current_state(self) -> CubeState:
+        """The epoch this reader answers from."""
+        raise NotImplementedError
+
+    @property
+    def epoch(self) -> int:
+        """The epoch id reads answer from (process-unique per publish)."""
+        return self._current_state().epoch
+
+    @property
+    def flat(self) -> Table:
+        """The denormalised fact+dimension view of that epoch."""
+        return self._current_state().flat
+
+    @property
+    def lattice(self) -> "MaterializedCube | None":
+        """The attached materialised lattice, if any."""
+        return self._lattice
+
+    @property
+    def planner(self) -> "QueryPlanner | None":
+        """The attached query planner, if any."""
+        return self.runtime.planner
+
+    # ------------------------------------------------------------------
+    # Metadata
+    # ------------------------------------------------------------------
+
+    def qualified_attributes(
+        self, state: CubeState | None = None
+    ) -> dict[str, tuple[str, str]]:
+        """``"dim.attr"`` → (dimension, attribute), cached per epoch.
+
+        Rebuilding this mapping walks every dimension; callers (level
+        validation, hierarchies) hit it on every query, so it is built
+        once when the epoch is published.
+        """
+        return (state or self._current_state()).qattrs
+
+    @property
+    def levels(self) -> list[str]:
+        """All qualified levels (``dim.attr``)."""
+        return list(self.qualified_attributes())
+
+    @property
+    def measure_names(self) -> list[str]:
+        """Fact measures plus the implicit record count."""
+        return list(self.schema.fact.measures) + [self.RECORDS]
+
+    def check_level(self, level: str, state: CubeState | None = None) -> str:
+        """Validate a level name, returning it; raises with suggestions."""
+        qattrs = self.qualified_attributes(state)
+        if level in qattrs:
+            return level
+        # allow bare attribute names when unambiguous
+        matches = [q for q, (_, attr) in qattrs.items() if attr == level]
+        if len(matches) == 1:
+            return matches[0]
+        if len(matches) > 1:
+            raise UnknownLevelError(
+                f"level {level!r} is ambiguous: {', '.join(matches)}"
+            )
+        raise UnknownLevelError(
+            f"unknown level {level!r} (known: {', '.join(qattrs)})"
+        )
+
+    def hierarchy_for(self, level: str) -> tuple[str, Hierarchy] | None:
+        """(dimension, hierarchy) containing the given level, if any."""
+        state = self._current_state()
+        dim_name, attr = state.qattrs[self.check_level(level, state)]
+        hierarchy = self.schema.dimension(dim_name).hierarchy_for_level(attr)
+        if hierarchy is None:
+            return None
+        return dim_name, hierarchy
+
+    def level_members(self, level: str) -> list[object]:
+        """Distinct values of a level, in value order."""
+        state = self._current_state()
+        qualified = self.check_level(level, state)
+        return state.flat.column(qualified).unique()
+
+    def scan(self, predicate: Expression | None = None):
+        """Iterate the epoch's rows partition by partition."""
+        return self._current_state().scan(predicate)
+
+    def grand_total(
+        self,
+        aggregations: Mapping[str, tuple[str, str]] | None = None,
+        filters: Expression | None = None,
+    ) -> dict[str, object]:
+        """Single-row aggregate over the whole (possibly filtered) cube."""
+        return self.aggregate([], aggregations, filters).row(0)
+
+    def slice_values(self, level: str, value: object) -> Expression:
+        """Predicate fixing one level to one member (a slice)."""
+        return col(self.check_level(level)).eq(value)
+
+    def query(self) -> "QueryBuilder":
+        """Start a fluent query against this reader (drag-and-drop analogue)."""
+        from repro.olap.query import QueryBuilder
+
+        return QueryBuilder(self)
+
+    # ------------------------------------------------------------------
+    # The read pipeline: plan → cache → route → execute → record → put
+    # ------------------------------------------------------------------
+
+    def _plan(
+        self,
+        state: CubeState,
+        levels: Sequence[str],
+        aggregations: Mapping[str, tuple[str, str]] | None = None,
+        filters: Expression | None = None,
+        force: bool = False,
+    ) -> AggregatePlan:
+        """Resolve one request against ``state`` — once per query.
+
+        Everything later stages need is decided here and carried in the
+        record: the qualified levels, the cache key, the planner pinned
+        for the query, and (under a planner) the request's signature and
+        the zone-map row estimate that routing, the ``scan.base``
+        estimate stamp and workload recording all share.
+        """
+        qualified = tuple([self.check_level(level, state) for level in levels])
+        aggregations = dict(
+            aggregations or {self.RECORDS: (self.RECORDS, "size")}
+        )
+        planner = self.runtime.planner
+        signature, base_rows = None, 0
+        if planner is not None:
+            signature = planner.classify(
+                qualified, aggregations, filters,
+                self.RECORDS, self.schema.fact.measures,
+            )
+            base_rows = planner.estimate_base_rows(state, filters)
+        return AggregatePlan(
+            qualified, aggregations, filters, bool(force),
+            plan_key(qualified, aggregations, filters, force),
+            planner, signature, base_rows,
+        )
+
+    def _aggregate(
+        self,
+        state: CubeState,
+        lattice: "MaterializedCube | None",
+        levels: Sequence[str],
+        aggregations: Mapping[str, tuple[str, str]] | None = None,
+        filters: Expression | None = None,
+        force: bool = False,
+    ) -> Table:
+        """One aggregation against one pinned epoch — the whole read path.
+
+        Linear, stage for stage (DESIGN.md §"The read pipeline"):
+        **plan** once → **cache probe** → **route + execute** (a lattice
+        node, or the base scan) → **record** the workload → **cache
+        put**.  The cache and lattice rungs each run behind
+        :func:`_guarded` and degrade one rung down on dependency faults:
+        a broken cache means recompute (never a failed query), a broken
+        lattice means a base scan.  The base scan is the bottom rung —
+        its typed errors propagate.
+        """
+        checkpoint()
+        with obs.span(
+            "cube.aggregate",
+            cube=self.name,
+            levels=",".join(levels) if levels else "<grand total>",
+            filtered=filters is not None,
+            epoch=state.epoch,
+        ) as sp:
+            degraded = resilience.active_degradations()
+            if degraded:
+                sp.set(degraded=",".join(sorted(degraded)))
+            plan = self._plan(state, levels, aggregations, filters, force)
+
+            cache = self.runtime.cache
+            cached: Table | None = None
+            if cache is not None:
+                answered, cached = _guarded(
+                    "cache", _cache_get, cache, state.epoch, plan.key
+                )
+                if answered:
+                    sp.set(cache="hit" if cached is not None else "miss")
+                else:
+                    cache = None  # recompute rung (skip the put too)
+
+            ran: Executed | None = None
+            if cached is None:
+                if lattice is not None and lattice.fresh_for_state(state):
+                    _, ran = _guarded("lattice", lattice.answer, plan, state)
+                if ran is None:
+                    ran = self._scan_base(plan, state)
+
+            # workload recording is unconditional under a planner (it is
+            # how the cost model calibrates); route *overrides* only
+            # start once it has seen enough of both routes
+            if plan.planner is not None:
+                if ran is not None:
+                    plan.planner.observe_route(ran.kind, ran.ms, ran.units)
+                plan.planner.note_query(
+                    plan.key, plan.signature, plan.base_rows,
+                    cache_hit=ran is None,
+                )
+            result = cached if ran is None else ran.table
+            sp.set(cells=result.num_rows)
+            if ran is not None and cache is not None:
+                # stored only after full success: a timed-out or
+                # cancelled query never reaches this line
+                _guarded("cache", _cache_put, cache, state.epoch, plan.key, result)
+            return result
+
+    def _grouped(self, state: CubeState, keys: tuple[str, ...]) -> GroupBy:
+        """A cached ``GroupBy`` over the epoch's flat view for ``keys``.
+
+        The ``GroupBy`` memoises its key factorisation, so repeated
+        ``aggregate()`` calls within one epoch pay the grouping cost
+        once.  The cache lives *in the state*: a new epoch starts empty,
+        and old epochs keep theirs — no cross-epoch aliasing.
+        """
+        with state.lock:
+            grouped = state.groupbys.get(keys)
+            if grouped is None:
+                obs.count("olap.groupby_cache.miss")
+                grouped = state.flat.groupby(*keys)
+                state.groupbys[keys] = grouped
+            else:
+                obs.count("olap.groupby_cache.hit")
+            return grouped
+
+    def _scan_base(self, plan: AggregatePlan, state: CubeState) -> Executed:
+        """The base route: aggregate by scanning the epoch's fact rows.
+
+        The bottom rung of the ladder and the reference every other
+        route is checked against; also how lattice nodes are built.  It
+        records nothing — callers that serve a query do (the pipeline's
+        record stage).
+        """
+        started = time.perf_counter()
+        qualified = plan.levels
+        filters = plan.filters
+        obs.count("olap.aggregate.base_scans")
+        with obs.span("scan.base", source="fact table") as scan_sp:
+            if plan.planner is not None:
+                # estimate-before-measure: the zone-map row guess and its
+                # cost translation land on the span *before* the scan, so
+                # explain() can put est_cost_ms next to the measured time
+                scan_sp.set(
+                    est_rows=plan.base_rows,
+                    est_cost_ms=round(
+                        plan.planner.cost.estimate_base_ms(plan.base_rows), 4
+                    ),
+                )
+            # bottom rung of the degradation ladder: the serving.scan
+            # fault point fires un-wrapped here — there is nothing left
+            # to degrade to, so injected errors propagate typed
+            faults.fire("serving.scan")
+            checkpoint()
+            if state.store is not None and filters is not None:
+                # partitioned scan: zone maps prune segments before any
+                # kernel runs; answers stay byte-identical to the flat
+                # filter (rows come back in flat-view order)
+                table, stats = state.store.scan_filter(filters)
+                scan_sp.set(
+                    predicate=filters.describe(),
+                    partitions_scanned=stats.segments_scanned,
+                    partitions_pruned=stats.segments_pruned,
+                    segments_total=stats.segments_total,
+                    scan_executor=stats.executor,
+                    partition_detail=_partition_detail(stats),
+                )
+                scan_sp.set(
+                    rows_scanned=stats.rows_scanned, rows_kept=table.num_rows
+                )
+            else:
+                flat = state.flat
+                if filters is None:
+                    table = flat
+                else:
+                    table = flat.filter(filters)
+                    scan_sp.set(predicate=filters.describe())
+                if state.store is not None:
+                    # unfiltered scan over a partitioned epoch: nothing
+                    # to prune, but the contract fields stay present
+                    total = len(state.store.segments)
+                    scan_sp.set(
+                        partitions_scanned=total,
+                        partitions_pruned=0,
+                        segments_total=total,
+                    )
+                scan_sp.set(rows_scanned=flat.num_rows, rows_kept=table.num_rows)
+
+        specs: dict[str, tuple[str, str]] = {}
+        for out_name, (target, func) in plan.aggregations.items():
+            if target == self.RECORDS:
+                if func not in ("size", "count"):
+                    raise OLAPError(
+                        f"the implicit {self.RECORDS!r} measure only supports "
+                        f"size/count, not {func!r}"
+                    )
+                anchor = qualified[0] if qualified else table.column_names[0]
+                specs[out_name] = (anchor, "size")
+            elif target in self.schema.fact.measures:
+                validate_aggregation(
+                    self.schema.fact.measures[target], func, plan.force
+                )
+                specs[out_name] = (target, func)
+            else:
+                level = self.check_level(target, state)
+                if func not in ("count", "nunique", "size", "min", "max"):
+                    raise OLAPError(
+                        f"level {target!r} only supports count/nunique/size/"
+                        f"min/max, not {func!r}"
+                    )
+                specs[out_name] = (level, func)
+
+        if not qualified:
+            # Grand total: aggregate the whole table as one group.
+            import numpy as np
+
+            from repro.tabular.groupby import AGGREGATORS
+
+            everything = np.arange(len(table))
+            result = Table.from_rows([{
+                out_name: AGGREGATORS[func](table.column(target), everything)
+                for out_name, (target, func) in specs.items()
+            }])
+        else:
+            checkpoint()
+            if filters is None:
+                # unchanged flat view: reuse the epoch's cached key
+                # factorisation
+                grouped = self._grouped(state, qualified)
+            else:
+                grouped = table.groupby(*qualified)
+            result = grouped.agg(**specs).sort_by(*qualified)
+        return Executed(
+            result, "base", plan.base_rows,
+            (time.perf_counter() - started) * 1000.0,
+        )
+
+
+class Cube(_CubeReads):
     """A queryable cube built over a star schema's flattened view.
 
     *Levels* are qualified dimension attributes (``"personal.age_band"``);
@@ -232,10 +693,12 @@ class Cube:
     swaps epochs, so reader threads cannot flatten a half-mutated
     warehouse.  Unmanaged cubes keep the historical auto-refresh-on-drift
     behaviour for single-threaded use.
-    """
 
-    #: implicit measure: number of fact rows in the cell
-    RECORDS = "records"
+    ``runtime`` is the :class:`CubeRuntime` the cube serves with; pass
+    one to share cache / admission / planner / storage config between
+    cubes (``DDDGMS`` does, across rebuilds).  The ``attach_*`` methods
+    assign its fields.
+    """
 
     def __init__(
         self,
@@ -243,6 +706,7 @@ class Cube:
         name: str | None = None,
         *,
         managed: bool = False,
+        runtime: CubeRuntime | None = None,
     ):
         self._dynamic = schema if isinstance(schema, DynamicWarehouse) else None
         self.schema = schema.schema if isinstance(schema, DynamicWarehouse) else schema
@@ -251,10 +715,7 @@ class Cube:
         self._state: CubeState | None = None
         self._rebuild_lock = threading.RLock()
         self._lattice: "MaterializedCube | None" = None
-        self._result_cache: "ResultCache | None" = None
-        self._serving: "ServingRuntime | None" = None
-        self._storage_config: "StorageConfig | None" = None
-        self._planner: "QueryPlanner | None" = None
+        self.runtime = runtime if runtime is not None else CubeRuntime()
 
     def _current_version(self) -> int:
         return self._dynamic.version if self._dynamic is not None else 1
@@ -291,11 +752,12 @@ class Cube:
             flat = self.schema.flatten()
             sp.set(rows=flat.num_rows)
         store = None
-        if self._storage_config is not None:
+        storage = self.runtime.storage
+        if storage is not None:
             from repro.storage.columnar import PartitionedStore
 
             with obs.span("storage.partition", cube=self.name) as part_sp:
-                store = PartitionedStore.build(flat, self._storage_config)
+                store = PartitionedStore.build(flat, storage)
                 part_sp.set(
                     segments=len(store.segments),
                     partitions=store.partition_count(),
@@ -418,186 +880,6 @@ class Cube:
         state = self._current_state()
         return CubeSnapshot(self, state, self._lattice)
 
-    @property
-    def epoch(self) -> int:
-        """The current epoch id (process-unique, bumps on every publish)."""
-        return self._current_state().epoch
-
-    @property
-    def flat(self) -> Table:
-        """The denormalised fact+dimension view (auto-refreshed on change)."""
-        return self._current_state().flat
-
-    def qualified_attributes(
-        self, state: CubeState | None = None
-    ) -> dict[str, tuple[str, str]]:
-        """``"dim.attr"`` → (dimension, attribute), cached per epoch.
-
-        Rebuilding this mapping walks every dimension; callers (level
-        validation, hierarchies) hit it on every query, so it is built
-        once when the epoch is published.
-        """
-        return (state or self._current_state()).qattrs
-
-    def _grouped(self, state: CubeState, keys: tuple[str, ...]) -> GroupBy:
-        """A cached ``GroupBy`` over the epoch's flat view for ``keys``.
-
-        The ``GroupBy`` memoises its key factorisation, so repeated
-        ``aggregate()`` calls within one epoch pay the grouping cost
-        once.  The cache lives *in the state*: a new epoch starts empty,
-        and old epochs keep theirs — no cross-epoch aliasing.
-        """
-        with state.lock:
-            grouped = state.groupbys.get(keys)
-            if grouped is None:
-                obs.count("olap.groupby_cache.miss")
-                grouped = state.flat.groupby(*keys)
-                state.groupbys[keys] = grouped
-            else:
-                obs.count("olap.groupby_cache.hit")
-            return grouped
-
-    # ------------------------------------------------------------------
-    # Metadata
-    # ------------------------------------------------------------------
-
-    @property
-    def levels(self) -> list[str]:
-        """All qualified levels (``dim.attr``)."""
-        return list(self.qualified_attributes())
-
-    @property
-    def measure_names(self) -> list[str]:
-        """Fact measures plus the implicit record count."""
-        return list(self.schema.fact.measures) + [self.RECORDS]
-
-    def check_level(self, level: str, state: CubeState | None = None) -> str:
-        """Validate a level name, returning it; raises with suggestions."""
-        qattrs = self.qualified_attributes(state)
-        if level in qattrs:
-            return level
-        # allow bare attribute names when unambiguous
-        matches = [q for q, (_, attr) in qattrs.items() if attr == level]
-        if len(matches) == 1:
-            return matches[0]
-        if len(matches) > 1:
-            raise UnknownLevelError(
-                f"level {level!r} is ambiguous: {', '.join(matches)}"
-            )
-        raise UnknownLevelError(
-            f"unknown level {level!r} (known: {', '.join(qattrs)})"
-        )
-
-    def hierarchy_for(self, level: str) -> tuple[str, Hierarchy] | None:
-        """(dimension, hierarchy) containing the given level, if any."""
-        qualified = self.check_level(level)
-        dim_name, attr = self.qualified_attributes()[qualified]
-        hierarchy = self.schema.dimension(dim_name).hierarchy_for_level(attr)
-        if hierarchy is None:
-            return None
-        return dim_name, hierarchy
-
-    def level_members(self, level: str) -> list[object]:
-        """Distinct values of a level, in value order."""
-        state = self._current_state()
-        qualified = self.check_level(level, state)
-        return state.flat.column(qualified).unique()
-
-    # ------------------------------------------------------------------
-    # Aggregation
-    # ------------------------------------------------------------------
-
-    def attach_lattice(self, lattice: "MaterializedCube") -> None:
-        """Route future ``aggregate`` calls through a materialised lattice.
-
-        The lattice answers covered queries from precomputed cells and
-        falls back to the base scan otherwise; it deactivates itself
-        automatically when the flat view it was built from is replaced.
-        """
-        if lattice.cube is not self:
-            raise OLAPError("lattice was materialised over a different cube")
-        self._lattice = lattice
-
-    def detach_lattice(self) -> None:
-        """Stop consulting the attached lattice (if any)."""
-        self._lattice = None
-
-    @property
-    def lattice(self) -> "MaterializedCube | None":
-        """The attached materialised lattice, if any."""
-        return self._lattice
-
-    def attach_result_cache(self, cache: "ResultCache | None") -> None:
-        """Serve repeated aggregates from ``cache`` (keyed by epoch + plan).
-
-        ``None`` detaches.  The same cache object may be re-attached to a
-        successor cube after an ingest rebuild: epoch ids are process-
-        unique, so old entries can never alias the new cube's state.
-        """
-        self._result_cache = cache
-
-    @property
-    def result_cache(self) -> "ResultCache | None":
-        """The attached result cache, if any."""
-        return self._result_cache
-
-    def attach_planner(self, planner: "QueryPlanner | None") -> None:
-        """Record workload statistics and cost-route future queries.
-
-        Attached, every aggregate records its plan signature and
-        measured route cost into the planner's
-        :class:`~repro.planner.stats.WorkloadStats`, plans carry
-        ``est_cost_ms`` next to the measured stage time, and — once the
-        cost model is calibrated — the lattice routes each covered
-        query to the cheapest of {covering node, pruned base scan}
-        instead of the fixed smallest-node preference.  While cold, the
-        routing behaviour (answers *and* hit counters) is identical to
-        an unattached cube.  ``None`` detaches.  Like the result cache,
-        one planner is re-attached to successor cubes across rebuilds:
-        the workload belongs to the system, not to one epoch.
-        """
-        self._planner = planner
-
-    @property
-    def planner(self) -> "QueryPlanner | None":
-        """The attached query planner, if any."""
-        return self._planner
-
-    def attach_serving(self, serving: "ServingRuntime | None") -> None:
-        """Put future query execution under ``serving``'s admission gate.
-
-        ``None`` detaches (unbounded serving, the historical behaviour).
-        Like the result cache, the same runtime is re-attached to the
-        successor cube across epoch publishes, so the limits govern the
-        system, not one epoch.
-        """
-        self._serving = serving
-
-    @property
-    def serving_runtime(self) -> "ServingRuntime | None":
-        """The attached serving runtime (admission + breakers), if any."""
-        return self._serving
-
-    def attach_storage(self, config: "StorageConfig | bool | None") -> None:
-        """Partition future epochs into a compressed columnar store.
-
-        Takes effect at the next epoch build (``publish`` / first query):
-        the flat view is sharded per ``config.partitioning`` into
-        encoded segments with zone maps, filtered base scans prune and
-        fan out per partition, and ``publish_delta`` appends segments
-        instead of lazy row blocks.  ``None``/``False`` detaches (future
-        epochs revert to the monolithic flat view); already-published
-        store-backed epochs are immutable and keep serving as built.
-        """
-        from repro.storage.columnar import coerce_storage
-
-        self._storage_config = coerce_storage(config)
-
-    @property
-    def storage_config(self) -> "StorageConfig | None":
-        """The attached storage configuration, if any."""
-        return self._storage_config
-
     def compact_storage(self) -> CubeState | None:
         """Merge delta segments back to one segment per partition.
 
@@ -634,9 +916,72 @@ class Cube:
             obs.set_gauge("serving.epoch", state.epoch)
             return state
 
-    def scan(self, predicate: Expression | None = None):
-        """Iterate the current epoch's rows partition by partition."""
-        return self._current_state().scan(predicate)
+    # ------------------------------------------------------------------
+    # What the cube serves with
+    # ------------------------------------------------------------------
+
+    def attach_lattice(self, lattice: "MaterializedCube") -> None:
+        """Route future ``aggregate`` calls through a materialised lattice.
+
+        The lattice answers covered queries from precomputed cells and
+        falls back to the base scan otherwise; it deactivates itself
+        automatically when the flat view it was built from is replaced.
+        """
+        if lattice.cube is not self:
+            raise OLAPError("lattice was materialised over a different cube")
+        self._lattice = lattice
+
+    def detach_lattice(self) -> None:
+        """Stop consulting the attached lattice (if any)."""
+        self._lattice = None
+
+    def attach_result_cache(self, cache: "ResultCache | None") -> None:
+        """Serve repeated aggregates from ``cache`` (keyed by epoch + plan).
+
+        ``None`` detaches.
+        """
+        self.runtime.cache = cache
+
+    def attach_planner(self, planner: "QueryPlanner | None") -> None:
+        """Record workload statistics and cost-route future queries.
+
+        Attached, every aggregate records its plan signature and
+        measured route cost into the planner's
+        :class:`~repro.planner.stats.WorkloadStats`, plans carry
+        ``est_cost_ms`` next to the measured stage time, and — once the
+        cost model is calibrated — the lattice routes each covered
+        query to the cheapest of {covering node, pruned base scan}
+        instead of the fixed smallest-node preference.  While cold, the
+        routing behaviour (answers *and* hit counters) is identical to
+        an unattached cube.  ``None`` detaches.
+        """
+        self.runtime.planner = planner
+
+    def attach_serving(self, serving: "ServingRuntime | None") -> None:
+        """Put future query execution under ``serving``'s admission gate.
+
+        ``None`` detaches (unbounded serving, the historical behaviour).
+        """
+        self.runtime.serving = serving
+
+    def attach_storage(self, config: "StorageConfig | bool | None") -> None:
+        """Partition future epochs into a compressed columnar store.
+
+        Takes effect at the next epoch build (``publish`` / first query):
+        the flat view is sharded per ``config.partitioning`` into
+        encoded segments with zone maps, filtered base scans prune and
+        fan out per partition, and ``publish_delta`` appends segments
+        instead of lazy row blocks.  ``None``/``False`` detaches (future
+        epochs revert to the monolithic flat view); already-published
+        store-backed epochs are immutable and keep serving as built.
+        """
+        from repro.storage.columnar import coerce_storage
+
+        self.runtime.storage = coerce_storage(config)
+
+    # ------------------------------------------------------------------
+    # Aggregation
+    # ------------------------------------------------------------------
 
     def aggregate(
         self,
@@ -657,273 +1002,10 @@ class Cube:
         The epoch is pinned once at entry: the whole aggregation runs
         against one committed snapshot regardless of concurrent ingest.
         """
-        state = self._current_state()
-        return self._aggregate_pinned(
-            state, self._lattice, levels, aggregations, filters, force
+        return self._aggregate(
+            self._current_state(), self._lattice,
+            levels, aggregations, filters, force,
         )
-
-    def _aggregate_pinned(
-        self,
-        state: CubeState,
-        lattice: "MaterializedCube | None",
-        levels: Sequence[str],
-        aggregations: Mapping[str, tuple[str, str]] | None = None,
-        filters: Expression | None = None,
-        force: bool = False,
-    ) -> Table:
-        """One aggregation against one pinned epoch (cache → lattice → base).
-
-        Each tier sits behind a circuit breaker and degrades one rung
-        down the ladder on dependency faults: a broken cache means
-        recompute (never a failed query), a broken lattice means a base
-        scan.  The base scan is the bottom rung — its typed errors
-        propagate.  Deadline expiry and cancellation always propagate
-        (they are the *query's* outcome, not a dependency's) but still
-        count against the tier that stalled, so a wedged dependency
-        opens its breaker and later queries skip it entirely.
-        """
-        checkpoint()
-        aggregations = dict(
-            aggregations or {self.RECORDS: (self.RECORDS, "size")}
-        )
-        with obs.span(
-            "cube.aggregate",
-            cube=self.name,
-            levels=",".join(levels) if levels else "<grand total>",
-            filtered=filters is not None,
-            epoch=state.epoch,
-        ) as sp:
-            degraded = resilience.active_degradations()
-            if degraded:
-                sp.set(degraded=",".join(sorted(degraded)))
-            qualified = [self.check_level(level, state) for level in levels]
-            cache = self._result_cache
-            cache_brk = resilience.breaker("cache") if cache is not None else None
-            planner = self._planner
-            key: Hashable | None = None
-            plan_sig = None
-            rows_hint = 0
-            if cache is not None or planner is not None:
-                key = plan_key(qualified, aggregations, filters, force)
-            if planner is not None:
-                # workload recording is unconditional (it is how the
-                # planner calibrates); route *overrides* only start once
-                # the cost model has seen enough of both routes
-                plan_sig = planner.classify(
-                    qualified, aggregations, filters,
-                    self.RECORDS, self.schema.fact.measures,
-                )
-                rows_hint = planner.estimate_base_rows(state, filters)
-            if cache is not None:
-                cached = None
-                if cache_brk.allow():
-                    try:
-                        faults.fire("serving.cache")
-                        cached = cache.get(state.epoch, key)
-                    except (QueryTimeoutError, QueryCancelledError):
-                        cache_brk.record_failure()
-                        raise
-                    except SimulatedCrash:
-                        raise
-                    except Exception:
-                        cache_brk.record_failure()
-                        obs.count("serving.degraded.cache")
-                        cache = None  # recompute rung (skip the put too)
-                    else:
-                        cache_brk.record_success()
-                else:
-                    obs.count("serving.degraded.cache")
-                    cache = None
-                if cache is not None:
-                    sp.set(cache="hit" if cached is not None else "miss")
-                if cached is not None:
-                    if planner is not None:
-                        planner.note_query(
-                            key, plan_sig, rows_hint, cache_hit=True
-                        )
-                    sp.set(cells=cached.num_rows)
-                    return cached
-            result: Table | None = None
-            if lattice is not None and lattice.fresh_for_state(state):
-                lat_brk = resilience.breaker("lattice")
-                if lat_brk.allow():
-                    try:
-                        result = lattice.aggregate(
-                            qualified, aggregations, filters=filters,
-                            force=force, state=state,
-                        )
-                    except (QueryTimeoutError, QueryCancelledError):
-                        lat_brk.record_failure()
-                        raise
-                    except OLAPError:
-                        raise  # the query's own fault, not the lattice's
-                    except SimulatedCrash:
-                        raise
-                    except Exception:
-                        lat_brk.record_failure()
-                        obs.count("serving.degraded.lattice")
-                    else:
-                        lat_brk.record_success()
-                else:
-                    obs.count("serving.degraded.lattice")
-            if result is None:
-                started = time.perf_counter()
-                result = self._aggregate_base(
-                    qualified, aggregations, filters, force, state=state
-                )
-                if planner is not None:
-                    planner.observe_route(
-                        "base",
-                        (time.perf_counter() - started) * 1000.0,
-                        rows_hint,
-                    )
-            if planner is not None:
-                planner.note_query(key, plan_sig, rows_hint, cache_hit=False)
-            sp.set(cells=result.num_rows)
-            if cache is not None and key is not None:
-                if cache_brk.allow():
-                    try:
-                        faults.fire("serving.cache")
-                        cache.put(state.epoch, key, result)
-                    except (QueryTimeoutError, QueryCancelledError):
-                        cache_brk.record_failure()
-                        raise
-                    except SimulatedCrash:
-                        raise
-                    except Exception:
-                        cache_brk.record_failure()
-                        obs.count("serving.degraded.cache")
-                    else:
-                        cache_brk.record_success()
-                else:
-                    obs.count("serving.degraded.cache")
-            return result
-
-    def _aggregate_base(
-        self,
-        levels: Sequence[str],
-        aggregations: Mapping[str, tuple[str, str]] | None = None,
-        filters: Expression | None = None,
-        force: bool = False,
-        *,
-        state: CubeState | None = None,
-    ) -> Table:
-        """The lattice-free aggregation path (a full scan of the flat view)."""
-        if state is None:
-            state = self._current_state()
-        qualified = [self.check_level(level, state) for level in levels]
-        aggregations = dict(aggregations or {self.RECORDS: (self.RECORDS, "size")})
-        obs.count("olap.aggregate.base_scans")
-        with obs.span("scan.base", source="fact table") as scan_sp:
-            planner = self._planner
-            if planner is not None:
-                # estimate-before-measure: the zone-map row guess and its
-                # cost translation land on the span *before* the scan, so
-                # explain() can put est_cost_ms next to the measured time
-                est_rows = planner.estimate_base_rows(state, filters)
-                scan_sp.set(
-                    est_rows=est_rows,
-                    est_cost_ms=round(planner.cost.estimate_base_ms(est_rows), 4),
-                )
-            # bottom rung of the degradation ladder: the serving.scan
-            # fault point fires un-wrapped here — there is nothing left
-            # to degrade to, so injected errors propagate typed
-            faults.fire("serving.scan")
-            checkpoint()
-            if state.store is not None and filters is not None:
-                # partitioned scan: zone maps prune segments before any
-                # kernel runs; answers stay byte-identical to the flat
-                # filter (rows come back in flat-view order)
-                table, stats = state.store.scan_filter(filters)
-                scan_sp.set(
-                    predicate=filters.describe(),
-                    partitions_scanned=stats.segments_scanned,
-                    partitions_pruned=stats.segments_pruned,
-                    segments_total=stats.segments_total,
-                    scan_executor=stats.executor,
-                    partition_detail=_partition_detail(stats),
-                )
-                scan_sp.set(
-                    rows_scanned=stats.rows_scanned, rows_kept=table.num_rows
-                )
-            else:
-                flat = state.flat
-                if filters is None:
-                    table = flat
-                else:
-                    table = flat.filter(filters)
-                    scan_sp.set(predicate=filters.describe())
-                if state.store is not None:
-                    # unfiltered scan over a partitioned epoch: nothing
-                    # to prune, but the contract fields stay present
-                    total = len(state.store.segments)
-                    scan_sp.set(
-                        partitions_scanned=total,
-                        partitions_pruned=0,
-                        segments_total=total,
-                    )
-                scan_sp.set(rows_scanned=flat.num_rows, rows_kept=table.num_rows)
-
-        specs: dict[str, tuple[str, str]] = {}
-        for out_name, (target, func) in aggregations.items():
-            if target == self.RECORDS:
-                if func not in ("size", "count"):
-                    raise OLAPError(
-                        f"the implicit {self.RECORDS!r} measure only supports "
-                        f"size/count, not {func!r}"
-                    )
-                anchor = qualified[0] if qualified else table.column_names[0]
-                specs[out_name] = (anchor, "size")
-            elif target in self.schema.fact.measures:
-                validate_aggregation(self.schema.fact.measures[target], func, force)
-                specs[out_name] = (target, func)
-            else:
-                level = self.check_level(target, state)
-                if func not in ("count", "nunique", "size", "min", "max"):
-                    raise OLAPError(
-                        f"level {target!r} only supports count/nunique/size/"
-                        f"min/max, not {func!r}"
-                    )
-                specs[out_name] = (level, func)
-
-        if not qualified:
-            # Grand total: aggregate the whole table as one group.
-            row: dict[str, object] = {}
-            for out_name, (target, func) in specs.items():
-                column = table.column(target)
-                from repro.tabular.groupby import AGGREGATORS
-                import numpy as np
-
-                row[out_name] = AGGREGATORS[func](column, np.arange(len(table)))
-            return Table.from_rows([row])
-
-        checkpoint()
-        if filters is None:
-            # unchanged flat view: reuse the epoch's cached key factorisation
-            grouped = self._grouped(state, tuple(qualified))
-        else:
-            grouped = table.groupby(*qualified)
-        result = grouped.agg(**specs)
-        return result.sort_by(*qualified)
-
-    def grand_total(
-        self,
-        aggregations: Mapping[str, tuple[str, str]] | None = None,
-        filters: Expression | None = None,
-    ) -> dict[str, object]:
-        """Single-row aggregate over the whole (possibly filtered) cube."""
-        table = self.aggregate([], aggregations, filters)
-        return table.row(0)
-
-    def slice_values(self, level: str, value: object) -> Expression:
-        """Predicate fixing one level to one member (a slice)."""
-        return col(self.check_level(level)).eq(value)
-
-    def query(self) -> "QueryBuilder":
-        """Start a fluent query against this cube (drag-and-drop analogue)."""
-        from repro.olap.query import QueryBuilder
-
-        return QueryBuilder(self)
 
     def __repr__(self) -> str:
         return (
@@ -932,17 +1014,16 @@ class Cube:
         )
 
 
-class CubeSnapshot:
+class CubeSnapshot(_CubeReads):
     """An immutable read view pinned to one published epoch.
 
-    Duck-types the read side of :class:`Cube` (``check_level`` /
-    ``aggregate`` / ``query`` / metadata), so query builders and the MDX
-    evaluator run against it unchanged — but every answer comes from the
-    pinned epoch, no matter how many ingests commit meanwhile.  Obtain
+    The same read API as :class:`Cube` (``check_level`` / ``aggregate``
+    / ``query`` / metadata), so query builders and the MDX evaluator run
+    against it unchanged — but every answer comes from the pinned
+    ``(state, lattice)``, no matter how many ingests commit meanwhile.
+    The :class:`CubeRuntime` is the owning cube's, shared live.  Obtain
     one from :meth:`Cube.snapshot` or ``DDDGMS.current_epoch()``.
     """
-
-    RECORDS = Cube.RECORDS
 
     def __init__(
         self,
@@ -950,7 +1031,6 @@ class CubeSnapshot:
         state: CubeState,
         lattice: "MaterializedCube | None" = None,
     ):
-        self._cube = cube
         self._state = state
         # only carry a lattice that was materialised from this very epoch
         self._lattice = (
@@ -960,62 +1040,15 @@ class CubeSnapshot:
         )
         self.name = cube.name
         self.schema = cube.schema
+        self.runtime = cube.runtime
 
-    @property
-    def epoch(self) -> int:
-        """The pinned epoch id."""
-        return self._state.epoch
-
-    @property
-    def flat(self) -> Table:
-        """The pinned epoch's flat view."""
-        return self._state.flat
-
-    @property
-    def lattice(self) -> "MaterializedCube | None":
-        """The pinned lattice (only if materialised from this epoch)."""
-        return self._lattice
-
-    @property
-    def serving_runtime(self) -> "ServingRuntime | None":
-        """The owning cube's serving runtime — limits are system-wide,
-        not per-epoch, so snapshots share the live gate and breakers."""
-        return self._cube.serving_runtime
-
-    def scan(self, predicate: Expression | None = None):
-        """Iterate the pinned epoch's rows partition by partition."""
-        return self._state.scan(predicate)
+    def _current_state(self) -> CubeState:
+        return self._state
 
     @property
     def store(self):
         """The pinned epoch's partitioned store (None when monolithic)."""
         return self._state.store
-
-    def qualified_attributes(self) -> dict[str, tuple[str, str]]:
-        """The pinned epoch's level map."""
-        return self._state.qattrs
-
-    @property
-    def levels(self) -> list[str]:
-        """All qualified levels of the pinned epoch."""
-        return list(self._state.qattrs)
-
-    @property
-    def measure_names(self) -> list[str]:
-        """Fact measures plus the implicit record count."""
-        return self._cube.measure_names
-
-    def check_level(self, level: str) -> str:
-        """Validate a level against the pinned epoch."""
-        return self._cube.check_level(level, self._state)
-
-    def hierarchy_for(self, level: str) -> tuple[str, Hierarchy] | None:
-        """(dimension, hierarchy) containing the given level, if any."""
-        return self._cube.hierarchy_for(level)
-
-    def level_members(self, level: str) -> list[object]:
-        """Distinct values of a level in the pinned epoch, in value order."""
-        return self._state.flat.column(self.check_level(level)).unique()
 
     def aggregate(
         self,
@@ -1025,27 +1058,9 @@ class CubeSnapshot:
         force: bool = False,
     ) -> Table:
         """Like :meth:`Cube.aggregate`, but always on the pinned epoch."""
-        return self._cube._aggregate_pinned(
+        return self._aggregate(
             self._state, self._lattice, levels, aggregations, filters, force
         )
-
-    def grand_total(
-        self,
-        aggregations: Mapping[str, tuple[str, str]] | None = None,
-        filters: Expression | None = None,
-    ) -> dict[str, object]:
-        """Single-row aggregate over the pinned epoch."""
-        return self.aggregate([], aggregations, filters).row(0)
-
-    def slice_values(self, level: str, value: object) -> Expression:
-        """Predicate fixing one level to one member (a slice)."""
-        return col(self.check_level(level)).eq(value)
-
-    def query(self) -> "QueryBuilder":
-        """A fluent query builder bound to the pinned epoch."""
-        from repro.olap.query import QueryBuilder
-
-        return QueryBuilder(self)
 
     def __repr__(self) -> str:
         return (

@@ -7,11 +7,11 @@ module implements that classic design over :class:`~repro.olap.cube.Cube`:
 
 * :meth:`MaterializedCube.materialize` precomputes, per node, the cell
   table with SUM/COUNT/MIN/MAX per measure plus the record count;
-* :meth:`MaterializedCube.aggregate` answers a query from the smallest
-  materialised superset node — means are recomposed as Σsum/Σcount, so
-  non-additive measures still roll up correctly — and falls back to the
-  base cube when no node covers the request (or for ``nunique``, which is
-  not decomposable);
+* :meth:`MaterializedCube.aggregate` answers a query from the covering
+  node :func:`repro.planner.router.choose_route` picks — means are
+  recomposed as Σsum/Σcount, so non-additive measures still roll up
+  correctly — and falls back to the base cube when no node covers the
+  request (or for ``nunique``, which is not decomposable);
 * :attr:`MaterializedCube.stats` records hits/fallbacks so benches can
   show the trade-off.
 
@@ -28,7 +28,8 @@ from typing import Mapping, Sequence
 from repro import obs
 from repro.errors import OLAPError
 from repro.olap.aggregates import validate_aggregation
-from repro.olap.cube import Cube, CubeState
+from repro.olap.cube import AggregatePlan, Cube, CubeState, Executed
+from repro.planner.router import choose_route
 from repro.serving.parallel import parallel_map, resolve_workers
 from repro.serving.resilience import checkpoint
 from repro.storage import faults
@@ -134,9 +135,8 @@ class MaterializedCube:
                     aggregations[f"{name}__count"] = (name, "count")
                     aggregations[f"{name}__min"] = (name, "min")
                     aggregations[f"{name}__max"] = (name, "max")
-                table = self.cube._aggregate_base(
-                    list(qualified), aggregations, force=True, state=state
-                )
+                plan = self.cube._plan(state, qualified, aggregations, force=True)
+                table = self.cube._scan_base(plan, state).table
                 return _Node(qualified, table, tuple(measure_names))
 
             built = parallel_map(build_node, qualified_groups, max_workers=workers)
@@ -278,64 +278,50 @@ class MaterializedCube:
     ) -> Table:
         """Answer like :meth:`Cube.aggregate`, preferring the lattice.
 
+        The direct-call form of :meth:`answer` (no cache, no workload
+        recording).  ``state`` pins the epoch to answer for (callers
+        holding a snapshot pass theirs; ``None`` uses the cube's current
+        epoch).
+        """
+        if state is None:
+            state = self.cube._current_state()
+        plan = self.cube._plan(state, levels, aggregations, filters, force)
+        return self.answer(plan, state).table
+
+    def answer(self, plan: AggregatePlan, state: CubeState) -> Executed:
+        """The read pipeline's lattice rung: epoch guard → route → execute.
+
         Filtered queries stay on the materialised path when every filter
         column is one of the node's levels — the predicate then selects
         whole cells, which aggregate identically to the facts behind them.
         Anything else (``nunique``, level-valued targets, filters on
-        non-materialised columns) falls back to the base scan.  ``state``
-        pins the epoch the fallback scans (callers holding a snapshot
-        pass theirs; ``None`` uses the cube's current epoch).
+        non-materialised columns) is handed back to the base scan, as is
+        a request the router costs cheaper there and one for an epoch
+        these cells do not describe.  Every hand-back names its
+        ``fallback_reason`` on the ``lattice.lookup`` span.
         """
-        qualified = [self.cube.check_level(level, state) for level in levels]
-        aggregations = dict(
-            aggregations or {self.RECORDS: (self.RECORDS, "size")}
-        )
-        if state is not None and state is not self._pinned_state:
-            # Epoch guard: a reader holding an older (or newer) snapshot
-            # must not be answered from this epoch's cells — scan its own
-            # pinned flat view instead.  The guard is a planned stage
-            # like any other, so it gets its own span: without one the
-            # staleness fallback was invisible in explain() and could
-            # not be told apart from a planner re-route.
-            self.stats.fallbacks += 1
-            obs.count("olap.lattice.fallback")
-            obs.count("olap.lattice.epoch_mismatch")
-            with obs.span("lattice.lookup", levels=",".join(qualified)) as sp:
-                sp.set(outcome="fallback", fallback_reason="epoch_mismatch")
-                return self.cube._aggregate_base(
-                    qualified, aggregations, filters=filters, force=force,
-                    state=state,
+        with obs.span("lattice.lookup", levels=",".join(plan.levels)) as sp:
+            if state is not self._pinned_state:
+                # Epoch guard: a reader holding an older (or newer)
+                # snapshot must not be answered from this epoch's cells —
+                # scan its own pinned flat view instead.
+                obs.count("olap.lattice.epoch_mismatch")
+                node, reason = None, "epoch_mismatch"
+            else:
+                # chaos boundary: this fire is *inside* the lattice tier,
+                # so an injected error here trips the lattice breaker in
+                # the caller and degrades the query to the base-scan rung
+                faults.fire("serving.scan")
+                checkpoint()
+                candidates = self._covering_nodes(
+                    plan.levels, plan.aggregations, plan.filters
                 )
-
-        planner = self.cube.planner
-        with obs.span("lattice.lookup", levels=",".join(qualified)) as sp:
-            # chaos boundary: this fire is *inside* the lattice tier, so an
-            # injected error here trips the lattice breaker in the caller
-            # and degrades the query to the base-scan rung
-            faults.fire("serving.scan")
-            checkpoint()
-            candidates = self._covering_nodes(qualified, aggregations, filters)
-            if not candidates:
-                self.stats.fallbacks += 1
-                obs.count("olap.lattice.fallback")
-                sp.set(outcome="fallback", fallback_reason="no_covering_node")
-                return self._fallback_scan(
-                    planner, sp, qualified, aggregations, filters, force, state
+                decision = choose_route(
+                    plan.planner,
+                    [(",".join(c.levels), c.table.num_rows) for c in candidates],
+                    plan.base_rows,
                 )
-            node = candidates[0]
-            if planner is not None:
-                est_state = (
-                    state if state is not None else self.cube._current_state()
-                )
-                base_rows = planner.estimate_base_rows(est_state, filters)
-                decision = planner.choose_route(
-                    [
-                        (",".join(c.levels), c.table.num_rows)
-                        for c in candidates
-                    ],
-                    base_rows,
-                )
-                if decision is not None:
+                if decision.est_cost_ms is not None:
                     sp.set(
                         est_cost_ms=round(decision.est_cost_ms, 4),
                         route=decision.kind,
@@ -343,20 +329,20 @@ class MaterializedCube:
                     )
                     if decision.deadline_risk:
                         sp.set(deadline_risk=True)
-                    if decision.kind == "base":
-                        # the cost model says the (pruned) scan is cheaper
-                        # than any covering node — a re-route, not a
-                        # coverage failure, hence its own fallback_reason
-                        self.stats.fallbacks += 1
-                        obs.count("olap.lattice.fallback")
-                        obs.count("olap.lattice.planner_reroute")
-                        sp.set(outcome="fallback", fallback_reason="planner_cost")
-                        return self._fallback_scan(
-                            planner, sp, qualified, aggregations, filters,
-                            force, state, base_rows=base_rows,
-                        )
-                    node = candidates[decision.node_index]
-            if set(node.levels) == set(qualified):
+                node = (
+                    candidates[decision.node_index]
+                    if decision.kind == "node"
+                    else None
+                )
+                reason = decision.fallback_reason
+                if reason == "planner_cost":
+                    obs.count("olap.lattice.planner_reroute")
+            if node is None:
+                self.stats.fallbacks += 1
+                obs.count("olap.lattice.fallback")
+                sp.set(outcome="fallback", fallback_reason=reason)
+                return self.cube._scan_base(plan, state)
+            if set(node.levels) == set(plan.levels):
                 self.stats.exact_hits += 1
                 obs.count("olap.lattice.exact_hit")
                 sp.set(outcome="exact")
@@ -366,45 +352,14 @@ class MaterializedCube:
                 sp.set(outcome="rollup")
             sp.set(node=",".join(node.levels), node_cells=node.table.num_rows)
             started = time.perf_counter()
-            result = self._answer_from_node(
-                node, qualified, aggregations, filters, force
+            table = self._answer_from_node(
+                node, list(plan.levels), plan.aggregations, plan.filters,
+                plan.force,
             )
-            if planner is not None:
-                planner.observe_route(
-                    "node",
-                    (time.perf_counter() - started) * 1000.0,
-                    node.table.num_rows,
-                )
-            return result
-
-    def _fallback_scan(
-        self,
-        planner,
-        sp,
-        qualified: list[str],
-        aggregations: Mapping[str, tuple[str, str]],
-        filters: Expression | None,
-        force: bool,
-        state: CubeState | None,
-        base_rows: int | None = None,
-    ) -> Table:
-        """Base-scan fallback from inside the lookup span, planner-timed."""
-        if planner is None:
-            return self.cube._aggregate_base(
-                qualified, aggregations, filters=filters, force=force,
-                state=state,
+            return Executed(
+                table, "node", node.table.num_rows,
+                (time.perf_counter() - started) * 1000.0,
             )
-        if base_rows is None:
-            est_state = state if state is not None else self.cube._current_state()
-            base_rows = planner.estimate_base_rows(est_state, filters)
-        started = time.perf_counter()
-        result = self.cube._aggregate_base(
-            qualified, aggregations, filters=filters, force=force, state=state
-        )
-        planner.observe_route(
-            "base", (time.perf_counter() - started) * 1000.0, base_rows
-        )
-        return result
 
     def _covering_nodes(
         self,
@@ -414,9 +369,9 @@ class MaterializedCube:
     ) -> list[_Node]:
         """Every node able to answer the request, smallest-first.
 
-        Index 0 is the historical fixed preference (``_nodes`` is kept
-        sorted by cell count); the cost-based router may pick any other
-        entry or none.  Empty when no node covers the request.
+        ``_nodes`` is kept sorted by cell count; which entry answers (or
+        none) is the router's decision.  Empty when no node covers the
+        request.
         """
         wanted = set(levels)
         if filters is not None:
@@ -435,16 +390,6 @@ class MaterializedCube:
             if wanted <= set(node.levels)
             and needed_measures <= set(node.measures)
         ]
-
-    def _covering_node(
-        self,
-        levels: Sequence[str],
-        aggregations: Mapping[str, tuple[str, str]],
-        filters: Expression | None = None,
-    ) -> _Node | None:
-        """The historical preference: the smallest covering node, if any."""
-        candidates = self._covering_nodes(levels, aggregations, filters)
-        return candidates[0] if candidates else None
 
     def _answer_from_node(
         self,

@@ -34,9 +34,9 @@ def serving_scope(cube, *, deadline=None, budget_s=None):
     admission slot and installs the per-query deadline; unconfigured
     systems keep the historical unbounded behaviour.
     """
-    runtime = getattr(cube, "serving_runtime", None)
-    if runtime is not None:
-        return runtime.query_scope(deadline=deadline, budget_s=budget_s)
+    serving = cube.runtime.serving
+    if serving is not None:
+        return serving.query_scope(deadline=deadline, budget_s=budget_s)
     if deadline is None and budget_s is not None:
         # no admission control configured, but the caller asked for a
         # deadline: honour it (chained under any active outer deadline)

@@ -25,7 +25,6 @@ mis-estimates are visible in ``explain()`` and assertable in tests.
 """
 
 from repro.planner.adaptive import NodeCandidate, Selection, select_nodes
-from repro.planner.bench import format_summary, run_planner_bench
 from repro.planner.cost import CostModel
 from repro.planner.router import (
     PlannerConfig,
@@ -52,7 +51,5 @@ __all__ = [
     "classify_request",
     "coerce_planner",
     "estimate_base_rows",
-    "format_summary",
-    "run_planner_bench",
     "select_nodes",
 ]

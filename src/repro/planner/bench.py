@@ -219,7 +219,9 @@ def run_planner_bench(
     for levels, aggregations, predicate in ALL_SHAPES:
         filters = predicate() if predicate is not None else None
         routed = cube.aggregate(levels, aggregations, filters=filters)
-        oracle = cube._aggregate_base(levels, aggregations, filters=filters)
+        oracle = cube._scan_base(
+            cube._plan(state, levels, aggregations, filters), state
+        ).table
         parity = parity and routed.equals(oracle)
 
     speedup = t_off / t_adaptive if t_adaptive > 0 else None

@@ -15,15 +15,17 @@ pruned base scan   zone-map estimated rows     only when nothing covers
 While the cost model is cold the router reproduces the historical
 preference *exactly* (smallest covering node, else base scan), so a
 planner-attached cube with no recorded workload behaves byte- and
-counter-identically to one without a planner.  Decisions carry their
-estimate and reason into the ``lattice.lookup`` span, where
-``explain()`` shows them next to the measured time.
+counter-identically to one without a planner — :func:`choose_route` is
+the one place that preference is written down, and "no planner" is just
+its cold branch.  Decisions carry their estimate and reason into the
+``lattice.lookup`` span, where ``explain()`` shows them next to the
+measured time.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Hashable, Mapping, Sequence
 
 from repro import obs
@@ -46,11 +48,9 @@ class PlannerConfig:
     route preference.  ``budget_nodes`` / ``budget_cells`` bound the
     adaptive materializer's selection (see
     :func:`repro.planner.adaptive.select_nodes`); ``min_gain_fraction``
-    is its diminishing-returns stop.  ``enabled=False`` keeps recording
-    statistics but never changes a route — the observe-only mode.
+    is its diminishing-returns stop.
     """
 
-    enabled: bool = True
     min_samples: int = 5
     budget_nodes: int = 4
     budget_cells: int | None = None
@@ -65,15 +65,25 @@ class RouteDecision:
     kind: str
     #: index into the candidate covering-node list (``None`` for base)
     node_index: int | None
-    #: the chosen route's estimated cost
-    est_cost_ms: float
-    #: ``"cold_stats"`` (historical preference kept) or ``"cost"``
+    #: the chosen route's estimated cost (``None``: no planner costed it)
+    est_cost_ms: float | None
+    #: ``"cold_stats"`` (historical preference kept), ``"cost"``, or
+    #: ``"uncovered"`` (no candidate to cost)
     reason: str
     #: every candidate considered, as ``(label, est_ms)`` — for debugging
     alternatives: tuple[tuple[str, float], ...] = ()
     #: the chosen estimate exceeds the query's remaining deadline — the
     #: serving tier's deadline still governs; this only flags the risk
     deadline_risk: bool = False
+    #: why a ``"base"`` route scans although a lattice was consulted:
+    #: ``"no_covering_node"`` or ``"planner_cost"`` (``None`` for nodes)
+    fallback_reason: str | None = None
+
+
+#: the historical fixed preference, kept while the cost model is cold
+#: (or no planner is attached): candidates arrive smallest-first, so the
+#: smallest covering node
+COLD_NODE_INDEX = 0
 
 
 class QueryPlanner:
@@ -131,7 +141,7 @@ class QueryPlanner:
     @property
     def active(self) -> bool:
         """True when the router may override the historical preference."""
-        return self.config.enabled and self.cost.calibrated()
+        return self.cost.calibrated()
 
     def choose_route(
         self,
@@ -142,11 +152,11 @@ class QueryPlanner:
 
         ``candidates`` is the covering nodes smallest-first as
         ``(label, cells)`` — the historical preference is index 0.
-        Returns ``None`` when routing is disabled outright; a
+        Returns ``None`` when nothing covers the request; a
         ``cold_stats`` decision mirroring the historical preference
         when the model is not yet calibrated.
         """
-        if not self.config.enabled or not candidates:
+        if not candidates:
             return None
         base_est = self.cost.estimate_base_ms(base_rows)
         node_ests = [
@@ -157,8 +167,8 @@ class QueryPlanner:
         if not self.cost.calibrated():
             decision = RouteDecision(
                 kind="node",
-                node_index=0,
-                est_cost_ms=node_ests[0][1],
+                node_index=COLD_NODE_INDEX,
+                est_cost_ms=node_ests[COLD_NODE_INDEX][1],
                 reason="cold_stats",
                 alternatives=alternatives,
             )
@@ -173,6 +183,8 @@ class QueryPlanner:
                     est_cost_ms=base_est,
                     reason="cost",
                     alternatives=alternatives,
+                    # a re-route, not a coverage failure
+                    fallback_reason="planner_cost",
                 )
             else:
                 decision = RouteDecision(
@@ -185,14 +197,7 @@ class QueryPlanner:
         deadline = current_deadline()
         remaining = deadline.remaining() if deadline is not None else None
         if remaining is not None and decision.est_cost_ms > remaining * 1000.0:
-            decision = RouteDecision(
-                kind=decision.kind,
-                node_index=decision.node_index,
-                est_cost_ms=decision.est_cost_ms,
-                reason=decision.reason,
-                alternatives=decision.alternatives,
-                deadline_risk=True,
-            )
+            decision = replace(decision, deadline_risk=True)
         label = f"{decision.kind}:{decision.reason}"
         with self._lock:
             self.route_counts[label] = self.route_counts.get(label, 0) + 1
@@ -206,7 +211,6 @@ class QueryPlanner:
         with self._lock:
             routes = dict(sorted(self.route_counts.items()))
         return {
-            "enabled": self.config.enabled,
             "active": self.active,
             "cost_model": self.cost.snapshot(),
             "workload": self.stats.snapshot(),
@@ -216,6 +220,31 @@ class QueryPlanner:
                 "cells": self.config.budget_cells,
             },
         }
+
+
+def choose_route(
+    planner: "QueryPlanner | None",
+    candidates: Sequence[tuple[str, int]],
+    base_rows: int,
+) -> RouteDecision:
+    """The one routing rule: which covering node answers, or the base scan.
+
+    ``candidates`` is every lattice node able to answer the request,
+    smallest-first, as ``(label, cells)``; ``base_rows`` the plan's
+    zone-map row estimate.  With nothing covering the request the route
+    is the base scan (``fallback_reason="no_covering_node"``); a planner
+    costs the candidates against the scan
+    (:meth:`QueryPlanner.choose_route`); without one the historical
+    preference stands, exactly as under a cold planner.
+    """
+    if not candidates:
+        return RouteDecision(
+            "base", None, None, "uncovered",
+            fallback_reason="no_covering_node",
+        )
+    if planner is None:
+        return RouteDecision("node", COLD_NODE_INDEX, None, "cold_stats")
+    return planner.choose_route(candidates, base_rows)
 
 
 def coerce_planner(

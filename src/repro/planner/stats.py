@@ -47,7 +47,7 @@ def classify_request(
 ) -> PlanSignature:
     """Reduce a request to its :class:`PlanSignature`.
 
-    Mirrors :meth:`MaterializedCube._covering_node`'s coverage rule so
+    Mirrors :meth:`MaterializedCube._covering_nodes`'s coverage rule so
     the adaptive materializer only proposes nodes the router can use.
     """
     wanted = set(levels)

@@ -144,13 +144,13 @@ def bench_result_cache(system, repeats: int = 5) -> dict:
         for levels, aggs in queries:
             system.cube.aggregate(levels, aggs)
 
-    system.cube.attach_result_cache(None)
+    system.attach_result_cache(None)
     uncached = _best_of(run_all, repeats)
 
     system.attach_result_cache(cache)
     run_all()  # populate at the current epoch
     warm = _best_of(run_all, repeats)
-    system.cube.attach_result_cache(None)
+    system.attach_result_cache(None)
     return {
         "queries": len(queries),
         "uncached_s": round(uncached, 6),

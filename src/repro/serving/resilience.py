@@ -337,6 +337,16 @@ class CircuitBreaker:
             ):
                 self._transition(_OPEN)
 
+    def release(self) -> None:
+        """Give a granted ``allow()`` back without scoring an outcome.
+
+        For exits that say nothing about the dependency's health (a
+        simulated process crash unwinding through the guard): the
+        half-open probe slot is freed so the next query may probe.
+        """
+        with self._lock:
+            self._probe_in_flight = False
+
     def reset(self) -> None:
         """Force-close (tests and operator tooling)."""
         with self._lock:

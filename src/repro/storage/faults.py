@@ -102,8 +102,6 @@ _ATOMIC_WRITE_POINTS = frozenset({
     "snapshot.data", "snapshot.manifest",
     "warehouse.data", "warehouse.manifest",
     "kb.write",
-    "storage.segment.write",
-    "storage.compaction.manifest",
 })
 
 #: plain boundaries fired via :func:`fire`/:func:`before_write`

@@ -2,11 +2,9 @@
 
 Covers the API-redesign satellite end to end at system level:
 ``SystemConfig(storage=StorageConfig(...))`` wires a partitioned store
-into ``open_system``, the legacy direct spellings (``partitioning=`` /
-``scan_procs=``) keep working behind a ``DeprecationWarning``, mapping
-spellings coerce into the typed config, EXPLAIN carries the stable
-partition fields, and ``ingest_health()`` reports segment/encoding
-stats.
+into ``open_system``, mapping spellings coerce into the typed config,
+EXPLAIN carries the stable partition fields, and ``ingest_health()``
+reports segment/encoding stats.
 """
 
 from __future__ import annotations
@@ -94,26 +92,6 @@ class TestStorageWiring:
 
 
 class TestDeprecationShims:
-    def test_partitioning_folds_into_storage(self):
-        with pytest.warns(DeprecationWarning, match="storage=StorageConfig"):
-            config = SystemConfig(partitioning={"hash_partitions": 4})
-        assert config.partitioning is None
-        assert isinstance(config.storage, StorageConfig)
-        assert config.storage.partitioning.hash_partitions == 4
-
-    def test_scan_procs_folds_into_storage(self):
-        with pytest.warns(DeprecationWarning):
-            config = SystemConfig(scan_procs=3)
-        assert config.scan_procs is None
-        assert config.storage.scan_procs == 3
-
-    def test_shim_merges_with_explicit_storage(self):
-        base = StorageConfig(encodings="plain")
-        with pytest.warns(DeprecationWarning):
-            config = SystemConfig(storage=base, scan_procs=2)
-        assert config.storage.encodings == "plain"
-        assert config.storage.scan_procs == 2
-
     def test_new_spelling_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

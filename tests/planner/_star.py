@@ -43,6 +43,18 @@ def build_cube(rows, storage=None) -> Cube:
     return cube
 
 
+def base_scan(cube, levels, aggregations=None, filters=None, *, state=None):
+    """The route-parity oracle: the request answered by the base scan alone.
+
+    Drives the pipeline's bottom rung directly (plan, then scan) — no
+    cache, no lattice, no workload recording — so using it between
+    routed queries leaves the planner's calibrations untouched.
+    """
+    state = state if state is not None else cube._current_state()
+    plan = cube._plan(state, levels, aggregations, filters)
+    return cube._scan_base(plan, state).table
+
+
 def default_rows(n: int = 24) -> list[dict]:
     """A deterministic row set covering every member at least once."""
     rows = []

@@ -32,7 +32,7 @@ from repro.olap.materialized import MaterializedCube
 from repro.planner import QueryPlanner, select_nodes
 from repro.tabular.expressions import col
 
-from tests.planner._star import build_cube, calibrate, default_rows
+from tests.planner._star import base_scan, build_cube, calibrate, default_rows
 
 #: query shapes over the _star schema: (levels, aggregations, predicate)
 SHAPES = (
@@ -94,8 +94,9 @@ class AdaptiveLatticeMachine(RuleBasedStateMachine):
         routed = self.cube.aggregate(
             list(levels), dict(aggregations), filters=_filters(predicate)
         )
-        oracle = self.cube._aggregate_base(
-            list(levels), dict(aggregations), filters=_filters(predicate)
+        oracle = base_scan(
+            self.cube, list(levels), dict(aggregations),
+            filters=_filters(predicate),
         )
         assert routed.equals(oracle), shape
 
@@ -220,7 +221,7 @@ class TestDGMSAdaptivePolicy:
         assert ledger["materialized_nodes"] == len(decision["selected"])
         # the covered query now answers from the adaptive node, byte-equal
         routed = system.cube.aggregate(*HOT_DGMS_QUERY)
-        oracle = system.cube._aggregate_base(*HOT_DGMS_QUERY)
+        oracle = base_scan(system.cube, *HOT_DGMS_QUERY)
         assert routed.equals(oracle)
         assert system.cube.lattice.stats.exact_hits >= 1
 
@@ -235,7 +236,7 @@ class TestDGMSAdaptivePolicy:
         assert health["planner"]["lattice_policy"] == "adaptive"
         assert health["planner"]["decisions"]["adaptive_selections"] == 2
         routed = system.cube.aggregate(*HOT_DGMS_QUERY)
-        oracle = system.cube._aggregate_base(*HOT_DGMS_QUERY)
+        oracle = base_scan(system.cube, *HOT_DGMS_QUERY)
         assert routed.equals(oracle)
 
     def test_budget_shrink_evicts_and_queries_reroute(self):
@@ -249,7 +250,7 @@ class TestDGMSAdaptivePolicy:
         assert ledger["last_decision"]["selected"] == []
         # the formerly-covered query now base-scans, still byte-equal
         routed = system.cube.aggregate(*HOT_DGMS_QUERY)
-        oracle = system.cube._aggregate_base(*HOT_DGMS_QUERY)
+        oracle = base_scan(system.cube, *HOT_DGMS_QUERY)
         assert routed.equals(oracle)
 
     def test_health_exposes_planner_snapshot(self):
@@ -257,7 +258,6 @@ class TestDGMSAdaptivePolicy:
         system.materialize_lattice(policy="adaptive", budget_nodes=2)
         health = system.ingest_health()
         planner_health = health["planner"]
-        assert planner_health["enabled"] is True
         assert planner_health["lattice_policy"] == "adaptive"
         assert "cost_model" in planner_health
         assert "workload" in planner_health

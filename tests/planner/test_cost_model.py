@@ -20,7 +20,7 @@ import pytest
 
 from repro.obs.explain import ExplainReport, profile
 from repro.olap.materialized import MaterializedCube
-from repro.planner import PlannerConfig, QueryPlanner
+from repro.planner import QueryPlanner
 from repro.planner.cost import (
     ACCURACY_FACTOR,
     COLD_BASE_MS_PER_ROW,
@@ -37,11 +37,6 @@ def _flat_calibration(planner, kind, ms, units, samples=None):
 
 
 class TestDecisionTable:
-    def test_disabled_planner_routes_nothing(self):
-        planner = QueryPlanner(PlannerConfig(enabled=False))
-        calibrate(planner, cheap="base")
-        assert planner.choose_route([("n", 10)], base_rows=100) is None
-
     def test_no_candidates_routes_nothing(self):
         planner = QueryPlanner()
         calibrate(planner, cheap="base")

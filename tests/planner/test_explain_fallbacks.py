@@ -15,7 +15,13 @@ from __future__ import annotations
 from repro.obs.explain import ExplainReport, profile
 from repro.olap.materialized import MaterializedCube
 from repro.planner import QueryPlanner
-from tests.planner._star import LEVELS, build_cube, calibrate, default_rows
+from tests.planner._star import (
+    LEVELS,
+    base_scan,
+    build_cube,
+    calibrate,
+    default_rows,
+)
 
 AGGS = {"n": ("records", "size"), "total": ("m", "sum")}
 
@@ -39,7 +45,7 @@ def test_epoch_mismatch_fallback_is_visible_and_exact():
     assert report.fallback_reasons() == ["epoch_mismatch"]
     assert lattice.stats.fallbacks == before + 1
     # the guard answered from the caller's own epoch, byte-exact
-    oracle = cube._aggregate_base(["d1.a"], AGGS, state=fresh_state)
+    oracle = base_scan(cube, ["d1.a"], AGGS, state=fresh_state)
     assert report.result.equals(oracle)
     assert report.plan.find("lattice.lookup") is not None
 

@@ -22,7 +22,7 @@ from repro.olap.materialized import MaterializedCube
 from repro.planner import QueryPlanner
 from repro.tabular.expressions import col
 
-from tests.planner._star import LEVELS, build_cube, calibrate
+from tests.planner._star import LEVELS, base_scan, build_cube, calibrate
 
 #: output name -> (target, func); ``v`` is non-additive so no sum
 AGG_CHOICES = {
@@ -111,8 +111,8 @@ def _run_route(rows, levels, aggregations, predicate, cheap):
     calibrate(planner, cheap=cheap)
     cube.attach_planner(planner)
     routed = cube.aggregate(levels, aggregations, filters=_filters(predicate))
-    oracle = cube._aggregate_base(
-        levels, aggregations, filters=_filters(predicate)
+    oracle = base_scan(
+        cube, levels, aggregations, filters=_filters(predicate)
     )
     return routed, oracle, lattice
 
@@ -166,8 +166,8 @@ def test_partial_rollup_from_coarser_node(case):
             routed = cube.aggregate(
                 sub_levels, aggregations, filters=_filters(predicate)
             )
-            oracle = cube._aggregate_base(
-                sub_levels, aggregations, filters=_filters(predicate)
+            oracle = base_scan(
+                cube, sub_levels, aggregations, filters=_filters(predicate)
             )
             assert routed.equals(oracle), f"scalar={scalar}"
 

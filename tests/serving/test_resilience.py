@@ -14,6 +14,7 @@ from repro.dgms.system import DDDGMS
 from repro.discri.generator import DiScRiGenerator
 from repro.errors import (
     InjectedFault,
+    OLAPError,
     PermanentIngestError,
     QueryCancelledError,
     QueryTimeoutError,
@@ -33,7 +34,7 @@ from repro.serving.resilience import (
     deadline_scope,
 )
 from repro.storage import faults
-from repro.storage.faults import FaultPlan, FaultRule
+from repro.storage.faults import FaultPlan, FaultRule, SimulatedCrash
 from repro.storage.retry import RetryPolicy, get_policy, register_policy
 
 
@@ -454,6 +455,52 @@ class TestDegradationLadder:
                 (system.query().rows("age_band").columns("gender")
                  .count_records("attendances").within(0.05).execute())
         assert time.perf_counter() - start < 1.0
+
+    def test_half_open_lattice_probe_is_released_by_a_query_fault(self, system):
+        # regression: the lattice rung re-raised OLAPError without telling
+        # the breaker, so the half-open probe stayed "in flight" forever
+        # and every later query was rejected onto the base scan
+        planner = system.planner
+        system.attach_planner(None)  # fixed routing: covered => lattice hit
+        try:
+            brk = breaker(
+                "lattice", BreakerConfig(failure_threshold=1, reset_after_s=0.0)
+            )
+            brk.record_failure()
+            assert brk.state == "half-open"
+            levels = ["conditions.age_band", "personal.gender"]
+            with pytest.raises(OLAPError):
+                system.cube.aggregate(levels, {"m": ("fbg", "median")})
+            stats = system.cube.lattice.stats
+            hits = stats.exact_hits + stats.rollup_hits
+            for _ in range(5):
+                system.cube.aggregate(levels)
+            assert stats.exact_hits + stats.rollup_hits == hits + 5
+            assert brk.stats.rejections == 0
+            assert brk.state == "closed"
+        finally:
+            system.attach_planner(planner)
+
+    def test_half_open_cache_probe_is_released_by_a_simulated_crash(self, system):
+        # in-process chaos harnesses catch SimulatedCrash and carry on; the
+        # crash says nothing about the cache, so the probe slot must free
+        cache = system.attach_result_cache(True)
+        try:
+            brk = breaker(
+                "cache", BreakerConfig(failure_threshold=1, reset_after_s=0.0)
+            )
+            brk.record_failure()
+            plan = FaultPlan([FaultRule("serving.cache", mode="kill", nth=1)])
+            with faults.injected(plan):
+                with pytest.raises(SimulatedCrash):
+                    _fig4(system)
+                expected = _fingerprint(_fig4(system))
+                assert _fingerprint(_fig4(system)) == expected
+            assert brk.stats.rejections == 0
+            assert brk.state == "closed"
+            assert cache.stats.hits >= 1
+        finally:
+            system.attach_result_cache(None)
 
     def test_explain_reports_active_degradations(self, system):
         cache_brk = breaker("cache")

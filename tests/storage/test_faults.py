@@ -177,5 +177,5 @@ class TestArmTimeValidation:
     def test_known_points_cover_rename_halves(self):
         points = faults.known_points()
         assert "wal.commit" in points
-        assert "storage.compaction.manifest" in points
-        assert "storage.compaction.manifest.rename" in points
+        assert "snapshot.manifest" in points
+        assert "snapshot.manifest.rename" in points
