@@ -139,9 +139,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print("\n== ingest health ==")
     health = system.ingest_health()
     for key, value in health.items():
-        if key in ("maintenance", "serving"):
+        if key in ("maintenance", "serving", "checkpoint"):
             continue  # given their own sections below
         print(f"{key:<24} {value}")
+    checkpoint = health.get("checkpoint")
+    if checkpoint is not None:
+        # why the log is the size it is: it is replayed, not folded into
+        # a new generation, until it outgrows the newest one
+        print("\n== checkpoint ==")
+        for key, value in checkpoint.items():
+            print(f"{key:<24} {value}")
     print("\n== maintenance ==")
     maintenance = health.get("maintenance") or {}
     for key in sorted(maintenance):

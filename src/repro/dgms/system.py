@@ -44,7 +44,7 @@ from repro.optimize.consistency import ConsistencyReport, check_dimension_consis
 from repro.prediction.trajectory import TrajectoryPredictor
 from repro.storage import faults
 from repro.storage.engine import StorageEngine
-from repro.storage.persistence import checkpoint as _checkpoint
+from repro.storage.persistence import checkpoint_if_due, checkpoint_status
 from repro.storage.persistence import recover as _recover
 from repro.storage.retry import RetryPolicy, get_policy, with_retry
 from repro.storage.wal import WriteAheadLog
@@ -194,6 +194,9 @@ class DDDGMS:
         self.retry_policy = get_policy("ingest.default")
         #: retries performed so far, per ingest boundary
         self._retry_counts: dict[str, int] = {}
+        #: write-path checkpoints skipped as not yet due since the last
+        #: one this process took (see storage.persistence.checkpoint_if_due)
+        self._checkpoints_deferred = 0
         #: degraded subsystems (name -> reason), e.g. an unmaterialised lattice
         self.degraded: dict[str, str] = {}
         #: serialises ingest/fold/redrive against each other; readers never
@@ -279,18 +282,18 @@ class DDDGMS:
             primary_key="fold_id",
         )
         with engine.transaction():
-            for i, row in enumerate(source.iter_rows()):
-                if quarantine is None:
-                    engine.insert("attendances", row)
-                    continue
-                try:
-                    engine.insert("attendances", row)
-                except ReproError as exc:
-                    quarantine.add(
-                        QuarantinedRow.from_error(
-                            row, "oltp", exc, batch=batch, source_index=i
+            if quarantine is None:
+                engine.insert_many("attendances", source.iter_rows())
+            else:
+                for i, row in enumerate(source.iter_rows()):
+                    try:
+                        engine.insert("attendances", row)
+                    except ReproError as exc:
+                        quarantine.add(
+                            QuarantinedRow.from_error(
+                                row, "oltp", exc, batch=batch, source_index=i
+                            )
                         )
-                    )
         engine.create_index("attendances", "patient_id")
         return engine
 
@@ -940,8 +943,9 @@ class DDDGMS:
         with self._writer_lock, obs.span("dgms.ingest", rows=new_visits.num_rows):
             with obs.span("dgms.ingest.oltp"):
                 with self.operational_store.transaction():
-                    for row in new_visits.iter_rows():
-                        self.operational_store.insert("attendances", row)
+                    self.operational_store.insert_many(
+                        "attendances", new_visits.iter_rows()
+                    )
             self._oltp_rows += new_visits.num_rows
             batch_tbl = new_visits.select(self._source_columns())
             if self._try_ingest_delta(
@@ -984,19 +988,19 @@ class DDDGMS:
         ):
             rows = new_visits.select(self._source_columns()).to_rows()
             # Idempotent resume: rows that already landed (a committed
-            # chunk of an interrupted run) are skipped, not duplicated.
-            fresh: list[tuple[int, dict]] = []
-            skipped = 0
-            for i, row in enumerate(rows):
-                vid = row.get("visit_id")
-                if vid is not None and self.operational_store.get_by_pk(
-                    "attendances", vid
-                ) is not None:
-                    skipped += 1
-                    continue
-                fresh.append((i, row))
-            accepted_ids: list[object] = []
-            with obs.span("dgms.ingest.oltp", rows=len(fresh), skipped=skipped):
+            # chunk of an interrupted run) are skipped, not duplicated —
+            # a probe of the key index, no stored row is decoded.
+            has_visit = self.operational_store.has_pk
+            fresh = [
+                (i, row)
+                for i, row in enumerate(rows)
+                if row.get("visit_id") is None
+                or not has_visit("attendances", row["visit_id"])
+            ]
+            accepted_ids: list[int] = []
+            with obs.span(
+                "dgms.ingest.oltp", rows=len(fresh), skipped=len(rows) - len(fresh)
+            ):
                 for chunk in _chunks(fresh, self.ingest_chunk_rows):
                     chunk_ids = self._with_retry(
                         "ingest.oltp",
@@ -1008,8 +1012,14 @@ class DDDGMS:
                     # which disqualifies the next delta publish
                     self._oltp_rows += len(chunk_ids)
             accepted = len(accepted_ids)
+            # The delta batch is the rows the inserts just stored, coercion
+            # included: the full-rebuild path sources from
+            # scan("attendances"), so anything else would let the parity
+            # oracle diverge on the next rebuild.
             if self._try_ingest_delta(
-                self._delta_batch_from_store(accepted_ids),
+                self.operational_store.scan(
+                    "attendances", row_ids=accepted_ids
+                ).select(self._source_columns()),
                 batch=batch,
                 resilient=True,
             ):
@@ -1060,18 +1070,19 @@ class DDDGMS:
 
     def _write_chunk(
         self, chunk: list[tuple[int, dict]], batch: str
-    ) -> list[object]:
+    ) -> list[int]:
         """One retryable OLTP transaction; bad rows quarantine, not abort.
 
-        Returns the ``visit_id`` of every accepted row, in write order —
-        the delta-ingest path re-fetches exactly these rows.
+        Returns the store's row id of every accepted row, in write order
+        — the delta-ingest path reads exactly these rows back.
         """
-        accepted: list[object] = []
+        accepted: list[int] = []
         with self.operational_store.transaction():
             for index, row in chunk:
                 try:
-                    self.operational_store.insert("attendances", row)
-                    accepted.append(row.get("visit_id"))
+                    accepted.append(
+                        self.operational_store.insert("attendances", row)
+                    )
                 except ReproError as exc:
                     self.quarantine.add(
                         QuarantinedRow.from_error(
@@ -1130,26 +1141,6 @@ class DDDGMS:
         per: dict = self.maintenance["fallback_reasons"]
         per[reason] = per.get(reason, 0) + 1
         obs.count("dgms.ingest.delta_fallback")
-
-    def _delta_batch_from_store(self, accepted_ids: list[object]) -> Table:
-        """Fetch the accepted rows back from the OLTP store, scan-identical.
-
-        The full-rebuild path sources from ``scan("attendances")``, so a
-        delta batch must carry exactly the values the engine stored — any
-        coercion the insert applied included — or the parity oracle would
-        diverge on the next full rebuild.
-        """
-        columns = self._source_columns()
-        schema = {
-            name: self._source_parts[0].schema[name] for name in columns
-        }
-        rows = []
-        for vid in accepted_ids:
-            stored = self.operational_store.get_by_pk("attendances", vid)
-            if stored is None:  # pragma: no cover - just inserted
-                raise IngestError(f"accepted visit {vid!r} vanished")
-            rows.append({name: stored.get(name) for name in columns})
-        return Table.from_rows(rows, schema=schema)
 
     def _try_ingest_delta(
         self, batch_tbl: Table, *, batch: str, resilient: bool = False
@@ -1407,9 +1398,29 @@ class DDDGMS:
             )
 
     def _checkpoint_durable(self) -> None:
-        _checkpoint(self.operational_store, self.durable_root / "snaps")
+        """Checkpoint both durable stores — each only when it is due.
+
+        Every commit is already durable in its store's WAL; this only
+        bounds how much log a recovery replays.
+        """
+        snaps = self.durable_root / "snaps"
+        if checkpoint_if_due(self.operational_store, snaps) is None:
+            self._checkpoints_deferred += 1
+        else:
+            self._checkpoints_deferred = 0
         if isinstance(self.quarantine, QuarantineStore):
             self.quarantine.checkpoint()
+
+    def _checkpoint_health(self) -> "dict | None":
+        """Generation/WAL sizes for ``ingest_health()`` (None if not durable)."""
+        if self.durable_root is None:
+            return None
+        status = checkpoint_status(
+            self.operational_store, self.durable_root / "snaps"
+        )
+        del status["due"]  # the write path acts on it; health reports sizes
+        status["deferred"] = self._checkpoints_deferred
+        return status
 
     # -- health / re-drive ----------------------------------------------
 
@@ -1434,6 +1445,7 @@ class DDDGMS:
             "retries_by_boundary": dict(sorted(self._retry_counts.items())),
             "degraded": dict(self.degraded),
             "wal_committed_seq": self.operational_store.wal.committed_seq,
+            "checkpoint": self._checkpoint_health(),
             "data_version": self.data_version,
             "epoch": self.epoch,
             "incremental": self.incremental,
@@ -1498,14 +1510,12 @@ class DDDGMS:
                     continue  # unaddressable: stays quarantined
                 try:
                     with self.operational_store.transaction():
-                        if self.operational_store.get_by_pk(
-                            "attendances", vid
-                        ) is None:
-                            self.operational_store.insert("attendances", row)
-                        else:
+                        if self.operational_store.has_pk("attendances", vid):
                             self.operational_store.update_by_pk(
                                 "attendances", vid, row
                             )
+                        else:
+                            self.operational_store.insert("attendances", row)
                 except ReproError:
                     continue  # still structurally invalid: stays
                 upserted.append(entry)

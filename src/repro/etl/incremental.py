@@ -43,6 +43,7 @@ from repro.etl.pipeline import (
     DiscretizationStep,
     Pipeline,
     TransformStep,
+    with_ingest_index,
 )
 from repro.etl.quarantine import QuarantinedRow
 from repro.tabular.column import Column
@@ -220,9 +221,7 @@ def run_delta(
     outcome = EtlDeltaOutcome()
     audit: list[str] = []
     original = batch
-    work = batch.with_column(
-        INGEST_INDEX, list(range(batch.num_rows)), dtype="int"
-    )
+    work = with_ingest_index(batch)
 
     # -- deduplicate against all history, then within the batch ---------
     if state.seen is not None:
@@ -297,34 +296,11 @@ def run_delta(
     # -- cardinality: extend per-patient ordinals ------------------------
     if state.cardinality is not None:
         card = state.cardinality
-        patients = work.column(card.patient_key)
-        dates = work.column(card.date_column)
         if resilient:
-            kept = []
-            failed = []
-            for i in range(work.num_rows):
-                if not patients.valid[i]:
-                    problem = f"null {card.patient_key!r}"
-                elif not dates.valid[i]:
-                    problem = f"null {card.date_column!r}"
-                else:
-                    kept.append(i)
-                    continue
-                failed.append(
-                    (work.row(i),
-                     ETLError(f"cannot assign cardinality: {problem}"))
-                )
-            if failed:
-                import numpy as np
-
-                _quarantine_failures(
-                    outcome, original, card.name, failed, batch_tag
-                )
-                work = work.take(np.array(kept, dtype=np.int64))
-                patients = work.column(card.patient_key)
-                dates = work.column(card.date_column)
-        p_values = patients.to_list()
-        d_values = dates.to_list()
+            work, failed = card.split_unassignable(work)
+            _quarantine_failures(outcome, original, card.name, failed, batch_tag)
+        p_values = work.column(card.patient_key).to_list()
+        d_values = work.column(card.date_column).to_list()
         if any(v is None for v in p_values) or any(v is None for v in d_values):
             raise ETLError(
                 f"cannot assign cardinality: null values in "
@@ -355,9 +331,7 @@ def run_delta(
             f"{len(per_patient)} patients (extended)"
         )
 
-    outcome.kept_indices = [
-        int(v) for v in work.column(INGEST_INDEX).to_list()  # type: ignore[arg-type]
-    ]
+    outcome.kept_indices = work.column(INGEST_INDEX).to_list()
     outcome.table = work.drop(INGEST_INDEX)
     outcome.audit = "; ".join(audit)
     return outcome

@@ -20,13 +20,16 @@ per-row data problems quarantine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import ETLError
 from repro.etl.cleaning import MissingValuePolicy, RangeRule, clean_table
 from repro.etl.cardinality import assign_cardinality
 from repro.etl.discretization import DiscretizationScheme
 from repro.etl.quarantine import QuarantinedRow
+from repro.tabular.column import Column
 from repro.tabular.table import Table
 
 #: hidden column threaded through resilient runs so every surviving row
@@ -41,6 +44,42 @@ def _require_column(step: "TransformStep", column: str, table: Table) -> None:
             f"step {step.name!r}: column {column!r} is not in the table "
             f"(available: {', '.join(table.column_names)})"
         )
+
+
+def with_ingest_index(table: Table) -> Table:
+    """``table`` plus the hidden column numbering its rows ``0..n-1``."""
+    return table.with_column(
+        INGEST_INDEX, Column.from_numpy(np.arange(table.num_rows), "int")
+    )
+
+
+def _each_resilient(
+    func: Callable[[object], object],
+    items: Callable[[], Iterable[object]],
+    row_of: Callable[[int], dict],
+) -> tuple[list[object], Sequence[int], list[tuple[dict, BaseException]]]:
+    """``func`` over ``items()``: ``(values, kept positions, failed rows)``.
+
+    The whole batch is tried first, exactly as the strict path runs it,
+    so a clean batch pays nothing for resilience; only when some item
+    raises does a per-item pass over a fresh ``items()`` sort survivors
+    from failures (each paired with ``row_of(position)``, its row dict).
+    """
+    try:
+        values = [func(item) for item in items()]
+        return values, range(len(values)), []
+    except Exception:  # noqa: BLE001 - which item failed is found below
+        pass
+    values = []
+    kept: list[int] = []
+    failed: list[tuple[dict, BaseException]] = []
+    for i, item in enumerate(items()):
+        try:
+            values.append(func(item))
+            kept.append(i)
+        except Exception as exc:  # step funcs raise arbitrary errors
+            failed.append((row_of(i), exc))
+    return values, kept, failed
 
 
 @dataclass
@@ -141,16 +180,9 @@ class DiscretizationStep(TransformStep):
     ) -> tuple[Table, str, list[tuple[dict, BaseException]]]:
         _require_column(self, self.column, table)
         values = table.column(self.column).to_list()
-        assign = self.scheme.assign
-        labels: list[str | None] = []
-        kept: list[int] = []
-        failed: list[tuple[dict, BaseException]] = []
-        for i, value in enumerate(values):
-            try:
-                labels.append(assign(value))  # type: ignore[arg-type]
-                kept.append(i)
-            except Exception as exc:
-                failed.append((table.row(i), exc))
+        labels, kept, failed = _each_resilient(
+            self.scheme.assign, lambda: values, table.row
+        )
         result = table if not failed else table.take(kept)
         result = result.with_column(self.output, labels, dtype="str")
         if not self.keep_original:
@@ -193,24 +225,33 @@ class CardinalityStep(TransformStep):
     ) -> tuple[Table, str, list[tuple[dict, BaseException]]]:
         _require_column(self, self.patient_key, table)
         _require_column(self, self.date_column, table)
-        patients = table.column(self.patient_key)
-        dates = table.column(self.date_column)
-        kept: list[int] = []
-        failed: list[tuple[dict, BaseException]] = []
-        for i in range(table.num_rows):
-            if not patients.valid[i]:
-                problem = f"null {self.patient_key!r}"
-            elif not dates.valid[i]:
-                problem = f"null {self.date_column!r}"
-            else:
-                kept.append(i)
-                continue
-            failed.append(
-                (table.row(i), ETLError(f"cannot assign cardinality: {problem}"))
-            )
-        work = table if not failed else table.take(kept)
+        work, failed = self.split_unassignable(table)
         result, detail = self.apply(work)
         return result, detail, failed
+
+    def split_unassignable(
+        self, table: Table
+    ) -> tuple[Table, list[tuple[dict, BaseException]]]:
+        """Rows that can take an ordinal, and the rest with their reason.
+
+        A visit needs a patient and a date; the check is one mask over
+        both columns, and a row dict is built only for a row that fails.
+        """
+        has_patient = table.column(self.patient_key).valid
+        has_date = table.column(self.date_column).valid
+        assignable = has_patient & has_date
+        if assignable.all():
+            return table, []
+        failed: list[tuple[dict, BaseException]] = []
+        for i in np.flatnonzero(~assignable).tolist():
+            missing = self.date_column if has_patient[i] else self.patient_key
+            failed.append(
+                (
+                    table.row(i),
+                    ETLError(f"cannot assign cardinality: null {missing!r}"),
+                )
+            )
+        return table.filter(assignable), failed
 
 
 class DeduplicateStep(TransformStep):
@@ -250,7 +291,11 @@ class DeduplicateStep(TransformStep):
 
 
 class DeriveStep(TransformStep):
-    """Add a computed column via ``func(row_dict)``."""
+    """Add a computed column via ``func(row)``.
+
+    ``row`` is a read-only mapping; only the columns ``func`` reads are
+    decoded (see :meth:`repro.tabular.table.Table.iter_row_views`).
+    """
 
     name = "derive"
 
@@ -267,16 +312,9 @@ class DeriveStep(TransformStep):
     def apply_resilient(
         self, table: Table
     ) -> tuple[Table, str, list[tuple[dict, BaseException]]]:
-        func = self.func
-        values: list[object] = []
-        kept: list[int] = []
-        failed: list[tuple[dict, BaseException]] = []
-        for i, row in enumerate(table.iter_rows()):
-            try:
-                values.append(func(row))
-                kept.append(i)
-            except Exception as exc:  # derive funcs raise arbitrary errors
-                failed.append((dict(row), exc))
+        values, kept, failed = _each_resilient(
+            self.func, table.iter_row_views, table.row
+        )
         result = table if not failed else table.take(kept)
         result = result.with_column(self.output, values, dtype=self.dtype)
         return result, self.description, failed
@@ -341,9 +379,7 @@ class Pipeline:
         self, table: Table, quarantine, batch: str
     ) -> PipelineResult:
         original = table
-        current = table.with_column(
-            INGEST_INDEX, list(range(table.num_rows)), dtype="int"
-        )
+        current = with_ingest_index(table)
         audit: list[AuditEntry] = []
         entries: list[QuarantinedRow] = []
         for step in self.steps:
@@ -368,7 +404,7 @@ class Pipeline:
                         )
                     )
             audit.append(AuditEntry(step.name, detail))
-        kept = [int(v) for v in current.column(INGEST_INDEX).to_list()]  # type: ignore[arg-type]
+        kept = current.column(INGEST_INDEX).to_list()
         for entry in entries:
             quarantine.add(entry)
         return PipelineResult(

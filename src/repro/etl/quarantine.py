@@ -28,7 +28,11 @@ from repro import obs
 from repro.errors import IngestError
 from repro.storage.durable import json_decode_value, json_encode_value
 from repro.storage.engine import StorageEngine
-from repro.storage.persistence import _save_snapshot, recover
+from repro.storage.persistence import (
+    _save_snapshot,
+    checkpoint_if_due,
+    recover,
+)
 from repro.storage.wal import WriteAheadLog
 
 _TABLE = "quarantine"
@@ -245,12 +249,16 @@ class QuarantineStore:
         return removed
 
     def checkpoint(self) -> None:
-        """Snapshot the store and truncate its WAL (durable stores only)."""
-        if self.root is None:
-            return
-        from repro.storage.persistence import checkpoint as _checkpoint
+        """Snapshot the store and truncate its WAL — when that is due.
 
-        _checkpoint(self._engine, self.root / "snaps")
+        Durable stores only, and by the operational store's rule
+        (:func:`repro.storage.persistence.checkpoint_if_due`): a store
+        nothing was added to or removed from since its last snapshot has
+        an empty log and is left alone; every entry is durable in the
+        log from the moment :meth:`add` returned.
+        """
+        if self.root is not None:
+            checkpoint_if_due(self._engine, self.root / "snaps")
 
     def close(self) -> None:
         """Flush and close the underlying WAL handle."""

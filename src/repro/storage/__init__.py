@@ -28,6 +28,8 @@ from repro.storage.index import HashIndex, SortedIndex
 from repro.storage.wal import WriteAheadLog
 from repro.storage.persistence import (
     checkpoint,
+    checkpoint_if_due,
+    checkpoint_status,
     load_snapshot,
     recover,
     save_snapshot,
@@ -44,6 +46,8 @@ __all__ = [
     "save_snapshot",
     "load_snapshot",
     "checkpoint",
+    "checkpoint_if_due",
+    "checkpoint_status",
     "recover",
     "FaultPlan",
     "FaultRule",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.errors import (
     IntegrityError,
@@ -141,8 +141,30 @@ class StorageEngine:
         ids (which later update/delete records reference) are identical
         after recovery.
         """
+        return self._insert(
+            self._require_txn(), self._stored(table), row, at_row_id
+        )
+
+    def insert_many(
+        self, table: str, rows: Iterable[Mapping[str, object]]
+    ) -> list[int]:
+        """Insert a batch of rows into one table; returns their row ids.
+
+        The transaction and the table are resolved once for the batch;
+        every row is still validated, indexed, logged and given its own
+        undo entry, exactly as :meth:`insert` would.
+        """
         txn = self._require_txn()
         stored = self._stored(table)
+        return [self._insert(txn, stored, row, None) for row in rows]
+
+    def _insert(
+        self,
+        txn: int,
+        stored: _StoredTable,
+        row: Mapping[str, object],
+        at_row_id: int | None,
+    ) -> int:
         clean = self._validate_row(stored.meta, row)
         self._check_pk_unique(stored, clean)
         self._check_foreign_keys(stored.meta, clean)
@@ -152,7 +174,8 @@ class StorageEngine:
             row_id = at_row_id
             if row_id in stored.rows:
                 raise StorageError(
-                    f"row id {row_id} already occupied in table {table!r}"
+                    f"row id {row_id} already occupied in table "
+                    f"{stored.meta.name!r}"
                 )
         stored.next_row_id = max(stored.next_row_id, row_id + 1)
         stored.rows[row_id] = clean
@@ -160,12 +183,10 @@ class StorageEngine:
         # Undo is registered before the WAL append so a failed append (e.g.
         # an injected fault) still rolls this row back with the transaction.
         self._undo.append(lambda: self._undo_insert(stored, row_id))
-        self.wal.append(txn, OP_INSERT, table, {"row_id": row_id, **clean})
+        self.wal.append(
+            txn, OP_INSERT, stored.meta.name, {"row_id": row_id, **clean}
+        )
         return row_id
-
-    def insert_many(self, table: str, rows: list[Mapping[str, object]]) -> list[int]:
-        """Insert a batch of rows (single validation loop, one undo each)."""
-        return [self.insert(table, row) for row in rows]
 
     def update(
         self, table: str, row_id: int, changes: Mapping[str, object]
@@ -219,12 +240,31 @@ class StorageEngine:
     # Reads
     # ------------------------------------------------------------------
 
-    def scan(self, table: str) -> Table:
-        """All live rows as a :class:`Table` (column order = schema order)."""
+    def scan(self, table: str, row_ids: Iterable[int] | None = None) -> Table:
+        """Live rows as a :class:`Table` (column order = schema order).
+
+        Every row in row-id order, or just ``row_ids`` in the order given
+        (the ids :meth:`insert` returned) — what a delta ingest reads back
+        instead of re-fetching each row by key.
+        """
         stored = self._stored(table)
-        schema = stored.meta.schema
-        rows = [stored.rows[rid] for rid in sorted(stored.rows)]
-        return Table.from_rows(rows, schema=schema)
+        if row_ids is None:
+            row_ids = sorted(stored.rows)
+        try:
+            rows = [stored.rows[rid] for rid in row_ids]
+        except KeyError as exc:
+            raise StorageError(
+                f"row {exc.args[0]} not found in table {table!r}"
+            ) from None
+        return Table.from_rows(rows, schema=stored.meta.schema)
+
+    def has_pk(self, table: str, key: object) -> bool:
+        """Whether a row with this primary key exists (an index probe)."""
+        stored = self._stored(table)
+        if stored.pk_index is None:
+            raise StorageError(f"table {table!r} has no primary key")
+        key = coerce_value(key, stored.meta.schema[stored.meta.primary_key])
+        return bool(stored.pk_index.lookup(key))
 
     def get_by_pk(self, table: str, key: object) -> dict[str, object] | None:
         """Point lookup through the primary-key index."""
@@ -312,11 +352,12 @@ class StorageEngine:
     def _validate_row(
         self, meta: TableMeta, row: Mapping[str, object]
     ) -> dict[str, object]:
-        unknown = set(row) - set(meta.schema) - {"row_id"}
-        if unknown:
-            raise StorageError(
-                f"unknown columns {sorted(unknown)} for table {meta.name!r}"
-            )
+        if not row.keys() <= meta.schema.keys():
+            unknown = set(row) - set(meta.schema) - {"row_id"}
+            if unknown:
+                raise StorageError(
+                    f"unknown columns {sorted(unknown)} for table {meta.name!r}"
+                )
         clean: dict[str, object] = {}
         for name, dtype in meta.schema.items():
             value = row.get(name)

@@ -213,6 +213,29 @@ class WriteAheadLog:
         return self._next_seq - 1
 
     @property
+    def start_seq(self) -> int:
+        """Sequence number the log's first record has (or will have).
+
+        A checkpoint's manifest records ``last_seq`` and the truncation
+        that follows restarts the log at ``last_seq + 1`` — which is how
+        a generation is recognised as the base of *this* log.
+        """
+        return self._start_seq
+
+    @property
+    def size_bytes(self) -> int | None:
+        """Bytes of the log file on disk; ``None`` for an in-memory log.
+
+        Exact after a commit (which flushes); frames of an open
+        transaction may still sit in the write buffer.
+        """
+        if self._path is None:
+            return None
+        if not self._initialized:  # nothing written yet: any file is not ours
+            return 0
+        return os.path.getsize(self._path)
+
+    @property
     def committed_seq(self) -> int:
         """Highest sequence number among *committed* mutations (0 if none).
 

@@ -9,10 +9,12 @@ import numpy as np
 from repro.errors import DTypeError, LengthMismatchError
 from repro.tabular.dtypes import (
     NULL_SENTINELS,
+    STORED_AS_IS,
     DType,
     coerce_value,
     infer_dtype,
     ordinal_to_date,
+    ordinals_to_dates,
 )
 
 
@@ -46,15 +48,21 @@ class Column:
         """Build a column from Python values; ``None`` marks a null.
 
         When ``dtype`` is omitted it is inferred from the non-null values.
+        Values already of the storage type (one type check over the whole
+        list) skip :func:`coerce_value`; anything else coerces per value.
         """
         values = list(values)
         resolved = DType.coerce(dtype) if dtype is not None else infer_dtype(values)
-        sentinel = NULL_SENTINELS[resolved]
-        coerced = [
-            sentinel if v is None else coerce_value(v, resolved) for v in values
-        ]
-        valid = np.array([v is not None for v in values], dtype=bool)
-        data = np.array(coerced, dtype=resolved.numpy_dtype)
+        kinds = set(map(type, values))
+        if not kinds <= STORED_AS_IS[resolved]:
+            values = [coerce_value(v, resolved) for v in values]
+        if type(None) in kinds:
+            valid = np.array([v is not None for v in values], dtype=bool)
+            sentinel = NULL_SENTINELS[resolved]
+            values = [sentinel if v is None else v for v in values]
+        else:
+            valid = np.ones(len(values), dtype=bool)
+        data = np.array(values, dtype=resolved.numpy_dtype)
         return cls(resolved, data, valid)
 
     @classmethod
@@ -125,13 +133,25 @@ class Column:
         return raw
 
     def to_list(self) -> list[object]:
-        """Materialise as a list of Python values with ``None`` for nulls."""
-        if self.dtype is DType.STR:
-            return [
-                v if ok else None
-                for v, ok in zip(self.data.tolist(), self.valid.tolist())
-            ]
-        return [self.value(i) for i in range(len(self))]
+        """Materialise as a list of Python values with ``None`` for nulls.
+
+        The bulk form of :meth:`value`: one ``tolist()`` over the data
+        array, then nulls patched in from the mask — null slots are never
+        decoded (a date's sentinel ordinal is not a date).
+        """
+        if self.dtype is DType.DATE:
+            present = ordinals_to_dates(self.data[self.valid])
+            if len(present) == len(self):
+                return present
+            values: list[object] = [None] * len(self)
+            for i, day in zip(np.flatnonzero(self.valid).tolist(), present):
+                values[i] = day
+            return values
+        values = self.data.tolist()
+        if np.count_nonzero(self.valid) != len(values):
+            for i in np.flatnonzero(~self.valid).tolist():
+                values[i] = None
+        return values
 
     def to_numpy(self) -> np.ndarray:
         """The backing array.  Null slots hold sentinels — check ``valid``."""

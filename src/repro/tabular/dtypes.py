@@ -27,6 +27,7 @@ import numpy as np
 from repro.errors import DTypeError
 
 _EPOCH = _dt.date(1970, 1, 1)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
 
 
 class DType(str, Enum):
@@ -94,6 +95,13 @@ def ordinal_to_date(ordinal: int) -> _dt.date:
     return _EPOCH + _dt.timedelta(days=int(ordinal))
 
 
+def ordinals_to_dates(ordinals: np.ndarray) -> "list[_dt.date]":
+    """Bulk :func:`ordinal_to_date` over an int64 array of day ordinals."""
+    return list(
+        map(_dt.date.fromordinal, (ordinals + _EPOCH_ORDINAL).tolist())
+    )
+
+
 def infer_dtype(values: "list[object]") -> DType:
     """Infer the narrowest logical type that holds every non-null value.
 
@@ -114,6 +122,18 @@ def infer_dtype(values: "list[object]") -> DType:
     if all(isinstance(v, (_dt.date, _dt.datetime)) for v in present):
         return DType.DATE
     return DType.STR
+
+
+#: Python types each logical type stores unchanged — a value of exactly one
+#: of these types is what :func:`coerce_value` would return for it, so bulk
+#: constructors skip the per-value call.  ``None`` passes through as null.
+STORED_AS_IS: "dict[DType, frozenset[type]]" = {
+    DType.INT: frozenset({int, type(None)}),
+    DType.FLOAT: frozenset({float, type(None)}),
+    DType.STR: frozenset({str, type(None)}),
+    DType.BOOL: frozenset({bool, type(None)}),
+    DType.DATE: frozenset({int, type(None)}),
+}
 
 
 def coerce_value(value: object, dtype: DType) -> object:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -20,6 +21,54 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tabular.groupby import GroupBy
 
 
+def _cells_by_column(
+    rows: Sequence[Mapping[str, object]], names: Sequence[str]
+) -> list[Sequence[object]]:
+    """Transpose row dicts into one value sequence per name.
+
+    One ``itemgetter`` pass per row when every row carries every name;
+    a row with a missing key (it reads as null) takes the per-cell path.
+    """
+    if len(names) > 1 and rows:  # itemgetter of one name is not a tuple
+        try:
+            return list(zip(*map(itemgetter(*names), rows)))
+        except KeyError:
+            pass
+    return [[row.get(name) for row in rows] for name in names]
+
+
+class _LazyColumnLists(dict):
+    """``name -> column.to_list()``, decoded the first time a row reads it."""
+
+    def __init__(self, table: "Table"):
+        super().__init__()
+        self._table = table
+
+    def __missing__(self, name: str) -> list[object]:
+        values = self[name] = self._table.column(name).to_list()
+        return values
+
+
+class _RowView(Mapping):
+    """Read-only dict view of one table row over lazily decoded columns."""
+
+    __slots__ = ("_lists", "_names", "_index")
+
+    def __init__(self, lists: _LazyColumnLists, names: list[str], index: int):
+        self._lists = lists
+        self._names = names
+        self._index = index
+
+    def __getitem__(self, name: str) -> object:
+        return self._lists[name][self._index]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
 class Table:
     """An immutable columnar table.
 
@@ -35,6 +84,7 @@ class Table:
             raise LengthMismatchError(f"columns differ in length: {detail}")
         self._columns: dict[str, Column] = dict(columns)
         self._length = lengths.pop() if lengths else 0
+        self._schema: dict[str, DType] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -61,19 +111,14 @@ class Table:
         """
         if schema is not None:
             names = list(schema)
-            allowed = set(names)
+            allowed = schema.keys()
             for i, row in enumerate(rows):
-                extra = set(row) - allowed
-                if extra:
+                if not row.keys() <= allowed:
+                    extra = sorted(set(row) - set(allowed))
                     raise SchemaMismatchError(
-                        f"row {i} has columns outside the schema: {sorted(extra)}"
+                        f"row {i} has columns outside the schema: {extra}"
                     )
-            columns = {
-                name: Column.from_values(
-                    [row.get(name) for row in rows], dtype=schema[name]
-                )
-                for name in names
-            }
+            dtypes = [schema[name] for name in names]
         else:
             names = []
             seen = set()
@@ -82,10 +127,13 @@ class Table:
                     if key not in seen:
                         seen.add(key)
                         names.append(key)
-            columns = {
-                name: Column.from_values([row.get(name) for row in rows])
-                for name in names
-            }
+            dtypes = [None] * len(names)
+        columns = {
+            name: Column.from_values(cells, dtype=dtype)
+            for name, dtype, cells in zip(
+                names, dtypes, _cells_by_column(rows, names)
+            )
+        }
         return cls(columns)
 
     @classmethod
@@ -117,8 +165,10 @@ class Table:
 
     @property
     def schema(self) -> dict[str, DType]:
-        """Column name → logical type."""
-        return {name: c.dtype for name, c in self._columns.items()}
+        """Column name → logical type (a fresh dict; the table is immutable)."""
+        if self._schema is None:
+            self._schema = {name: c.dtype for name, c in self._columns.items()}
+        return dict(self._schema)
 
     def __len__(self) -> int:
         return self._length
@@ -145,10 +195,21 @@ class Table:
         return {name: c.value(index) for name, c in self._columns.items()}
 
     def iter_rows(self) -> Iterator[dict[str, object]]:
-        """Iterate rows as dicts.  Convenient but not the fast path."""
-        lists = {name: c.to_list() for name, c in self._columns.items()}
+        """Iterate rows as dicts (one bulk decode per column, then a zip)."""
+        names = list(self._columns)
+        for values in zip(*(c.to_list() for c in self._columns.values())):
+            yield dict(zip(names, values))
+
+    def iter_row_views(self) -> Iterator[Mapping[str, object]]:
+        """Iterate rows as read-only mappings over lazily decoded columns.
+
+        For consumers that read a few attributes of every row: a column
+        is decoded the first time any row reads it, and never otherwise.
+        """
+        lists = _LazyColumnLists(self)
+        names = list(self._columns)
         for i in range(self._length):
-            yield {name: values[i] for name, values in lists.items()}
+            yield _RowView(lists, names, i)
 
     def to_rows(self) -> list[dict[str, object]]:
         """All rows as a list of dicts."""
@@ -345,8 +406,13 @@ class Table:
         return Table(columns)
 
     def with_derived(self, name: str, func, dtype: DType | str | None = None) -> "Table":
-        """Add a column computed from each row dict via ``func(row)``."""
-        values = [func(row) for row in self.iter_rows()]
+        """Add a column computed from each row via ``func(row)``.
+
+        ``row`` is a read-only mapping of the row's values; only the
+        columns ``func`` actually reads are decoded, so deriving from a
+        few attributes of a wide table costs those attributes.
+        """
+        values = [func(row) for row in self.iter_row_views()]
         return self.with_column(name, values, dtype=dtype)
 
     # ------------------------------------------------------------------

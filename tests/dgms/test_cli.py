@@ -112,6 +112,29 @@ class TestQuarantineRedrive:
         )
         return root
 
+    @pytest.fixture()
+    def restored_obs(self):
+        """``stats`` reconfigures the process-wide obs switch; put it back
+        (set up before ``capsys`` so the restore sees the real stderr)."""
+        from repro import obs
+
+        yield
+        obs.disable()
+        obs.metrics().reset()
+        obs.slow_log().clear()
+        obs.configure_from_env()
+
+    def test_stats_reports_the_checkpoint_state(
+        self, restored_obs, durable_root, capsys
+    ):
+        assert main(["stats", "--durable", str(durable_root)]) == 0
+        out = capsys.readouterr().out
+        section = out.split("== checkpoint ==")[1].split("==")[0]
+        reported = dict(line.split() for line in section.strip().splitlines())
+        assert reported["generation"] == "1"
+        assert int(reported["wal_bytes"]) == (durable_root / "wal.log").stat().st_size
+        assert 0 < int(reported["wal_bytes"]) < int(reported["snapshot_bytes"])
+
     def test_requeued_rows_exit_nonzero(self, durable_root, capsys):
         # no --set repair: the row fails again and re-quarantines
         assert main(["quarantine", "redrive", "--root", str(durable_root)]) == 3

@@ -131,6 +131,20 @@ class TestQuarantineStore:
         assert len(reopened) == 1
         reopened.close()
 
+    def test_checkpoint_of_a_clean_store_writes_nothing(self, tmp_path):
+        root = tmp_path / "q"
+        store = QuarantineStore.open(root)
+        store.add(
+            QuarantinedRow.from_error({"pid": 1}, "load", ValueError("a"))
+        )
+        store.checkpoint()  # no generation yet: this one is due
+        generations = sorted(p.name for p in (root / "snaps").iterdir())
+        assert generations == ["gen-00000001"]
+        store.checkpoint()  # nothing added or removed since
+        assert sorted(p.name for p in (root / "snaps").iterdir()) == generations
+        store.close()
+        assert len(QuarantineStore.open(root)) == 1
+
     def test_wal_only_recovery(self, tmp_path):
         """Entries that never made it into a snapshot replay from the WAL."""
         root = tmp_path / "q"
