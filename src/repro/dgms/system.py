@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro import obs
 from repro.errors import (
@@ -23,6 +24,9 @@ from repro.etl.quarantine import (
     QuarantinedRow,
     QuarantineStore,
     RedriveReport,
+    commit_staged,
+    divert,
+    stage,
 )
 from repro.knowledge.kb import KnowledgeBase
 from repro.knowledge.findings import Evidence, FindingKind
@@ -59,15 +63,41 @@ from repro.warehouse.star import SnowflakeDimension
 #: to replay the closed loop after a crash.
 _FOLD_TABLE = "feedback_folds"
 
-#: default rows per OLTP ingest transaction in resilient mode — small
-#: enough that a crash mid-batch loses little, large enough that the
-#: per-commit fsync amortises
+#: default rows per OLTP ingest transaction of a system with a quarantine
+#: sink — small enough that a crash mid-batch loses little, large enough
+#: that the per-commit fsync amortises
 DEFAULT_INGEST_CHUNK_ROWS = 256
 
 
 def _chunks(items: list, size: int) -> Iterable[list]:
     for start in range(0, len(items), size):
         yield items[start:start + size]
+
+
+def _insert_visits(
+    engine: StorageEngine,
+    rows: Iterable[tuple[int, dict]],
+    quarantine,
+    batch: str,
+) -> list[int]:
+    """One OLTP transaction over ``(batch position, row)`` pairs.
+
+    Returns the store's row id of every accepted row, in write order.  A
+    structurally invalid row (null/duplicate ``visit_id``, schema
+    violation) goes through :func:`~repro.etl.quarantine.divert`: inserts
+    validate before mutating, so a diverted row leaves no partial state
+    behind, and a re-raised error rolls the whole transaction back.
+    """
+    accepted: list[int] = []
+    with engine.transaction():
+        for index, row in rows:
+            try:
+                accepted.append(engine.insert("attendances", row))
+            except ReproError as exc:
+                divert(
+                    quarantine, "oltp", row, exc, batch=batch, source_index=index
+                )
+    return accepted
 
 
 @dataclass(frozen=True)
@@ -167,7 +197,8 @@ class DDDGMS:
         self.durable_root = Path(durable_root) if durable_root is not None else None
         if quarantine is None and self.durable_root is not None:
             quarantine = QuarantineStore.open(self.durable_root / "quarantine")
-        #: dead-letter sink; its presence switches ingest into resilient mode
+        #: dead-letter sink for rows an ingest stage rejects; without one
+        #: a rejected row's error aborts its batch (see :meth:`_intake`)
         self.quarantine = quarantine
         self.ingest_chunk_rows = max(1, int(ingest_chunk_rows))
         #: whether ingest may publish O(batch) delta epochs instead of
@@ -213,18 +244,17 @@ class DDDGMS:
         #: remembered adaptive-budget overrides (None -> planner config)
         self._lattice_budgets: dict = {}
         with obs.span("dgms.build", rows=source.num_rows):
+            fresh_store = _operational is None
             with obs.span("dgms.load_operational"):
-                if _operational is not None:
-                    self.operational_store = _operational
-                else:
-                    self.operational_store = self._load_operational(
+                if fresh_store:
+                    _operational = self._load_operational(
                         source,
                         wal=self._fresh_wal(),
                         quarantine=self.quarantine,
                     )
-            if self.quarantine is not None and _operational is None:
-                # the canonical source is what the OLTP store accepted
-                source = self.operational_store.scan("attendances")
+                    # the canonical source is what the OLTP store accepted
+                    source = _operational.scan("attendances")
+                self.operational_store = _operational
             self.source = source
             #: delta-transformed batches not yet folded into the built
             #: table; flushed lazily by :attr:`transformed`
@@ -250,7 +280,7 @@ class DDDGMS:
             self._lattice_groups: list[list[str]] | None = None
             #: bumped on every ingest batch
             self.data_version = 1
-            if self.durable_root is not None and _operational is None:
+            if self.durable_root is not None and fresh_store:
                 self._checkpoint_durable()
 
     def _fresh_wal(self) -> WriteAheadLog | None:
@@ -268,10 +298,9 @@ class DDDGMS:
     ) -> StorageEngine:
         """Mirror the raw source into the OLTP engine (the "DB" of Fig 2).
 
-        With a quarantine sink, structurally invalid rows (null/duplicate
-        ``visit_id``, schema violations) divert there instead of aborting
-        the load; inserts validate before mutating, so a rejected row
-        leaves no partial state behind.
+        One :func:`_insert_visits` transaction: with a quarantine sink
+        structurally invalid rows divert there, without one the first
+        aborts the load.
         """
         engine = StorageEngine(wal) if wal is not None else StorageEngine()
         engine.create_table(
@@ -281,19 +310,7 @@ class DDDGMS:
             _FOLD_TABLE, {"fold_id": "int", "dimension": "str"},
             primary_key="fold_id",
         )
-        with engine.transaction():
-            if quarantine is None:
-                engine.insert_many("attendances", source.iter_rows())
-            else:
-                for i, row in enumerate(source.iter_rows()):
-                    try:
-                        engine.insert("attendances", row)
-                    except ReproError as exc:
-                        quarantine.add(
-                            QuarantinedRow.from_error(
-                                row, "oltp", exc, batch=batch, source_index=i
-                            )
-                        )
+        _insert_visits(engine, enumerate(source.iter_rows()), quarantine, batch)
         engine.create_index("attendances", "patient_id")
         return engine
 
@@ -837,28 +854,17 @@ class DDDGMS:
         """Fold clinician feedback into the warehouse as a new dimension.
 
         The builder is remembered so its predicates replay automatically
-        after the next :meth:`ingest_visits` rebuild.  In resilient mode
-        the fold is idempotent (an already-folded dimension is returned,
-        not re-added), retried on transient faults at the
-        ``ingest.feedback`` boundary, journaled in the operational store
-        for :meth:`recover`, and checkpointed when the system is durable.
+        after the next :meth:`ingest_visits` rebuild.  The fold is
+        idempotent (an already-folded dimension is returned, not
+        re-added), retried on transient faults at the ``ingest.feedback``
+        boundary, journaled in the operational store for :meth:`recover`,
+        and checkpointed when the system is durable.
         """
         with self._writer_lock, obs.span(
             "dgms.fold_feedback", dimension=builder.name
         ):
             prev_state = self.cube._state
             old_lattice = self.cube.lattice
-            if self.quarantine is None:
-                dimension = self.warehouse.fold_feedback(builder)
-                self._feedback_builders.append(builder)
-                self._journal_fold(builder.name)
-                # the in-place fold never touches the published epoch's
-                # flat view; publishing moves readers to the folded state
-                state = self.cube.publish()
-                if not self._retag_lattice(old_lattice, prev_state, state):
-                    self._rematerialize_lattice()
-                self._cache_epoch_published(state.epoch)
-                return dimension
 
             def fold():
                 if builder.name in self.warehouse.dimension_names:
@@ -869,12 +875,13 @@ class DDDGMS:
             if all(b.name != builder.name for b in self._feedback_builders):
                 self._feedback_builders.append(builder)
             self._journal_fold(builder.name)
+            # the in-place fold never touches the published epoch's flat
+            # view; publishing moves readers to the folded state
             state = self.cube.publish()
             if not self._retag_lattice(old_lattice, prev_state, state):
                 self._lattice_or_degrade()
             self._cache_epoch_published(state.epoch)
-            if self.durable_root is not None:
-                self._with_retry("ingest.checkpoint", self._checkpoint_durable)
+            self._checkpoint_if_durable()
             return dimension
 
     def _retag_lattice(self, old_lattice, prev_state, new_state) -> bool:
@@ -918,199 +925,163 @@ class DDDGMS:
         took under ``"maintenance"``.  Returns the number of ingested
         rows.
 
-        Without a quarantine sink the batch is all-or-nothing (one bad row
-        aborts and rolls back).  With one — :class:`DDDGMS` built with
-        ``quarantine=...`` or ``durable_root=...`` — ingest is
-        **resilient**: malformed rows divert to the dead-letter store,
-        rows whose ``visit_id`` is already present are skipped (so
-        re-running an interrupted batch resumes instead of duplicating),
-        the OLTP intake commits in chunks of ``ingest_chunk_rows``, and
-        every named boundary (``ingest.oltp``, ``ingest.rebuild``,
+        Every batch takes the same sequence — OLTP intake, read back the
+        stored rows, delta publish or else a rebuild off to the side,
+        quarantine commit, feedback replay, lattice, checkpoint, commit —
+        and every named boundary (``ingest.oltp``, ``ingest.rebuild``,
         ``ingest.quarantine``, ``ingest.feedback``, ``ingest.lattice``,
-        ``ingest.checkpoint``) retries transient faults with backoff.
-        Permanent lattice failure degrades to un-materialised queries
-        instead of failing the batch.
+        ``ingest.checkpoint``) retries transient faults with backoff;
+        permanent lattice failure degrades to un-materialised queries
+        instead of failing the batch.  With a quarantine sink —
+        :class:`DDDGMS` built with ``quarantine=...`` or
+        ``durable_root=...`` — a malformed row diverts to the dead-letter
+        store at whichever stage rejects it.  Without one there is
+        nowhere to divert: the row's own error aborts the batch (see
+        :meth:`_intake` for exactly what differs).
         """
         if new_visits.num_rows == 0:
             return 0
-        if self.quarantine is None:
-            return self._ingest_strict(new_visits)
-        return self._ingest_resilient(
-            new_visits, batch or f"batch-{self.data_version + 1}"
-        )
-
-    def _ingest_strict(self, new_visits: Table) -> int:
-        with self._writer_lock, obs.span("dgms.ingest", rows=new_visits.num_rows):
-            with obs.span("dgms.ingest.oltp"):
-                with self.operational_store.transaction():
-                    self.operational_store.insert_many(
-                        "attendances", new_visits.iter_rows()
-                    )
-            self._oltp_rows += new_visits.num_rows
-            batch_tbl = new_visits.select(self._source_columns())
-            if self._try_ingest_delta(
-                batch_tbl, batch=f"batch-{self.data_version + 1}"
-            ):
-                self.data_version += 1
-                obs.count("dgms.ingest.batches")
-                return new_visits.num_rows
-            # everything analytical builds in locals; readers keep serving
-            # the published epoch until the commit block swaps the handles
-            source = self.source.append(batch_tbl)
-            with obs.span("dgms.ingest.rebuild"):
-                built = build_discri_warehouse(source)
-                cube = Cube(
-                    built.warehouse, managed=True, runtime=self.runtime
-                )
-            with obs.span(
-                "dgms.ingest.feedback_replay",
-                builders=len(self._feedback_builders),
-            ):
-                for builder in self._feedback_builders:
-                    built.warehouse.fold_feedback(builder)
-            self._rematerialize_lattice(cube)
-            # commit
-            self.source = source
-            self._pending_transformed = []
-            self._covered_rows = source.num_rows
-            self._built = built
-            self.warehouse = built.warehouse
-            self.etl_audit = built.etl_result.audit
-            self._commit_cube(cube)
-            self.data_version += 1
-            self.maintenance["full_rebuilds"] += 1
-            obs.count("dgms.ingest.batches")
-        return new_visits.num_rows
-
-    def _ingest_resilient(self, new_visits: Table, batch: str) -> int:
+        batch = batch or f"batch-{self.data_version + 1}"
         with self._writer_lock, obs.span(
             "dgms.ingest", rows=new_visits.num_rows, batch=batch
         ):
-            rows = new_visits.select(self._source_columns()).to_rows()
-            # Idempotent resume: rows that already landed (a committed
-            # chunk of an interrupted run) are skipped, not duplicated —
-            # a probe of the key index, no stored row is decoded.
-            has_visit = self.operational_store.has_pk
-            fresh = [
-                (i, row)
-                for i, row in enumerate(rows)
-                if row.get("visit_id") is None
-                or not has_visit("attendances", row["visit_id"])
-            ]
-            accepted_ids: list[int] = []
-            with obs.span(
-                "dgms.ingest.oltp", rows=len(fresh), skipped=len(rows) - len(fresh)
-            ):
-                for chunk in _chunks(fresh, self.ingest_chunk_rows):
-                    chunk_ids = self._with_retry(
-                        "ingest.oltp",
-                        lambda chunk=chunk: self._write_chunk(chunk, batch),
-                    )
-                    accepted_ids.extend(chunk_ids)
-                    # counted per committed chunk: a later crash leaves the
-                    # ledger showing the warehouse behind the OLTP store,
-                    # which disqualifies the next delta publish
-                    self._oltp_rows += len(chunk_ids)
-            accepted = len(accepted_ids)
-            # The delta batch is the rows the inserts just stored, coercion
-            # included: the full-rebuild path sources from
-            # scan("attendances"), so anything else would let the parity
-            # oracle diverge on the next rebuild.
-            if self._try_ingest_delta(
-                self.operational_store.scan(
+            with self._intake(new_visits, batch) as accepted_ids:
+                # The delta batch is the rows the inserts just stored,
+                # coercion included: the full-rebuild path sources from
+                # scan("attendances"), so anything else would let the
+                # parity oracle diverge on the next rebuild.
+                stored = self.operational_store.scan(
                     "attendances", row_ids=accepted_ids
-                ).select(self._source_columns()),
-                batch=batch,
-                resilient=True,
-            ):
-                self.data_version += 1
-                obs.count("dgms.ingest.batches")
-                if hasattr(self.quarantine, "__len__"):
-                    obs.set_gauge("ingest.quarantine.size", len(self.quarantine))
-                return accepted
-            # analytical state builds in locals; a failed (permanent)
-            # rebuild aborts the batch with the old epoch still serving
-            source = self.operational_store.scan("attendances")
-            with obs.span("dgms.ingest.rebuild"):
-                built, cube, staged = self._with_retry(
-                    "ingest.rebuild",
-                    lambda: self._rebuild_warehouse(source, batch),
-                )
-            self._with_retry(
-                "ingest.quarantine", lambda: self._commit_staged(staged)
-            )
-            with obs.span(
-                "dgms.ingest.feedback_replay",
-                builders=len(self._feedback_builders),
-            ):
-                self._with_retry(
-                    "ingest.feedback",
-                    lambda: self._replay_feedback(built.warehouse),
-                )
-            self._lattice_or_degrade(cube)
-            if self.durable_root is not None:
-                self._with_retry("ingest.checkpoint", self._checkpoint_durable)
-            # commit
-            self.source = source
-            self._pending_transformed = []
-            self._covered_rows = source.num_rows
-            self._oltp_rows = source.num_rows
-            self._built = built
-            self.warehouse = built.warehouse
-            self.etl_audit = built.etl_result.audit
-            self._commit_cube(cube)
+                ).select(self._source_columns())
+                if not self._try_ingest_delta(stored, batch=batch):
+                    source, built, cube, _ = self._rebuild_staged(batch)
+                    # the checkpoint precedes the commit: if it fails for
+                    # good the batch aborts with the old epoch still serving
+                    self._checkpoint_if_durable()
+                    self._commit_rebuilt(source, built, cube)
             self.data_version += 1
-            self.maintenance["full_rebuilds"] += 1
             obs.count("dgms.ingest.batches")
             if hasattr(self.quarantine, "__len__"):
                 obs.set_gauge("ingest.quarantine.size", len(self.quarantine))
-        return accepted
+        return len(accepted_ids)
 
-    # -- resilient-ingest plumbing --------------------------------------
+    @contextmanager
+    def _intake(self, new_visits: Table, batch: str) -> Iterator[list[int]]:
+        """Write the batch into the OLTP store; yields the stored row ids.
 
-    def _write_chunk(
-        self, chunk: list[tuple[int, dict]], batch: str
-    ) -> list[int]:
-        """One retryable OLTP transaction; bad rows quarantine, not abort.
+        The only place ingest asks whether there is a quarantine sink,
+        and what it decides is three values.  With a sink, a row the
+        store rejects is diverted, the batch commits in chunks of
+        ``ingest_chunk_rows`` (a crash mid-batch loses little), and rows
+        whose ``visit_id`` already landed are skipped, so re-running an
+        interrupted batch resumes instead of duplicating.  Without one, a
+        rejected row raises (the rule of
+        :func:`~repro.etl.quarantine.divert`), the batch is one
+        transaction that the error rolls back, and an already-present
+        ``visit_id`` is such an error rather than a resume.
 
-        Returns the store's row id of every accepted row, in write order
-        — the delta-ingest path reads exactly these rows back.
+        The rest of the batch runs inside the ``with`` block because a
+        later stage can reject a row the store accepted.  With a sink the
+        rows stay and the next ingest rebuilds from them; without one the
+        batch is all-or-nothing to the end, so the accepted rows come
+        back out and the store, like the published epoch, never saw it.
         """
-        accepted: list[int] = []
-        with self.operational_store.transaction():
-            for index, row in chunk:
-                try:
-                    accepted.append(
-                        self.operational_store.insert("attendances", row)
-                    )
-                except ReproError as exc:
-                    self.quarantine.add(
-                        QuarantinedRow.from_error(
-                            row, "oltp", exc, batch=batch, source_index=index
-                        )
-                    )
-        return accepted
+        store = self.operational_store
+        rows = list(
+            enumerate(new_visits.select(self._source_columns()).to_rows())
+        )
+        offered = len(rows)
+        all_or_nothing = self.quarantine is None
+        if all_or_nothing:
+            chunk_rows = offered
+        else:
+            chunk_rows = self.ingest_chunk_rows
+            # a probe of the key index, no stored row is decoded
+            rows = [
+                (i, row)
+                for i, row in rows
+                if row.get("visit_id") is None
+                or not store.has_pk("attendances", row["visit_id"])
+            ]
+        accepted_ids: list[int] = []
+        with obs.span(
+            "dgms.ingest.oltp", rows=len(rows), skipped=offered - len(rows)
+        ):
+            for chunk in _chunks(rows, chunk_rows):
+                chunk_ids = self._with_retry(
+                    "ingest.oltp",
+                    lambda chunk=chunk: _insert_visits(
+                        store, chunk, self.quarantine, batch
+                    ),
+                )
+                accepted_ids.extend(chunk_ids)
+                # counted per committed chunk: a later crash leaves the
+                # ledger showing the warehouse behind the OLTP store,
+                # which disqualifies the next delta publish
+                self._oltp_rows += len(chunk_ids)
+        try:
+            yield accepted_ids
+        except Exception:
+            if all_or_nothing:
+                with store.transaction():
+                    for row_id in accepted_ids:
+                        store.delete("attendances", row_id)
+                self._oltp_rows -= len(accepted_ids)
+            raise
 
-    def _rebuild_warehouse(
-        self, source: Table, batch: str
-    ) -> tuple[DiscriWarehouse, Cube, ListSink]:
-        """Rebuild ETL + warehouse + cube *off to the side*.
+    # -- staging, rebuild and commit --------------------------------------
 
-        Returns ``(built, cube, staged)`` without touching any published
-        handle — the caller commits them after every downstream step
-        succeeds.  Quarantine entries are staged in a list and committed
-        to the durable store only after the rebuild succeeds
-        (:meth:`_commit_staged`), so a retried rebuild cannot
-        double-quarantine.
+    def _rebuild_staged(
+        self, batch: str
+    ) -> tuple[Table, DiscriWarehouse, Cube, ListSink | None]:
+        """Rebuild every analytical layer *off to the side*.
+
+        ETL + warehouse + cube over the whole stored history, quarantine
+        commit, feedback replay, lattice — the fallback of every ingest
+        and the only path a redrive has (it rewrites history).  Returns
+        ``(source, built, cube, staged)`` without touching any
+        published handle — readers keep the old epoch until the caller
+        hands the result to :meth:`_commit_rebuilt`, and a permanently
+        failing step aborts with the old epoch still serving.
         """
-        staged = ListSink()
-        built = build_discri_warehouse(source, quarantine=staged, batch=batch)
-        cube = Cube(built.warehouse, managed=True, runtime=self.runtime)
-        return built, cube, staged
+        source = self.operational_store.scan("attendances")
 
-    def _commit_staged(self, staged: ListSink) -> None:
-        for entry in staged.entries:
-            self.quarantine.add(entry)
+        def rebuild():
+            staged = stage(self.quarantine)
+            built = build_discri_warehouse(source, quarantine=staged, batch=batch)
+            cube = Cube(built.warehouse, managed=True, runtime=self.runtime)
+            return built, cube, staged
+
+        with obs.span("dgms.ingest.rebuild"):
+            built, cube, staged = self._with_retry("ingest.rebuild", rebuild)
+        self._with_retry(
+            "ingest.quarantine", lambda: commit_staged(staged, self.quarantine)
+        )
+        with obs.span(
+            "dgms.ingest.feedback_replay", builders=len(self._feedback_builders)
+        ):
+            self._with_retry(
+                "ingest.feedback", lambda: self._replay_feedback(built.warehouse)
+            )
+        self._lattice_or_degrade(cube)
+        return source, built, cube, staged
+
+    def _commit_rebuilt(
+        self, source: Table, built: DiscriWarehouse, cube: Cube
+    ) -> None:
+        """Swap a :meth:`_rebuild_staged` result in for the published state."""
+        self.source = source
+        self._pending_transformed = []
+        self._covered_rows = self._oltp_rows = source.num_rows
+        self._built = built
+        self.warehouse = built.warehouse
+        self.etl_audit = built.etl_result.audit
+        self._commit_cube(cube)
+        self.maintenance["full_rebuilds"] += 1
+
+    def _checkpoint_if_durable(self) -> None:
+        if self.durable_root is not None:
+            self._with_retry("ingest.checkpoint", self._checkpoint_durable)
 
     # -- incremental maintenance (delta folding) -------------------------
 
@@ -1142,9 +1113,7 @@ class DDDGMS:
         per[reason] = per.get(reason, 0) + 1
         obs.count("dgms.ingest.delta_fallback")
 
-    def _try_ingest_delta(
-        self, batch_tbl: Table, *, batch: str, resilient: bool = False
-    ) -> bool:
+    def _try_ingest_delta(self, batch_tbl: Table, *, batch: str) -> bool:
         """Attempt an O(batch) delta publish; ``False`` → caller rebuilds.
 
         Runs the incremental ETL over just the appended rows, loads them
@@ -1174,11 +1143,11 @@ class DDDGMS:
         state = self._built.delta_state
         prev_state = self.cube._state
         old_lattice = self.cube.lattice
-        staged = ListSink() if resilient else None
+        staged = stage(self.quarantine)
         try:
             with obs.span("dgms.ingest.delta", rows=batch_tbl.num_rows):
                 outcome = run_delta(
-                    state, batch_tbl, resilient=resilient, batch_tag=batch
+                    state, batch_tbl, quarantine=staged, batch_tag=batch
                 )
                 if outcome.fallback_reason is not None:
                     self._note_delta_fallback(outcome.fallback_reason)
@@ -1222,21 +1191,18 @@ class DDDGMS:
                 or f"batch {batch!r}: +{delta_tbl.num_rows} rows",
             )
         )
-        if staged is not None:
-            entries = list(outcome.quarantined) + list(staged.entries)
-            if entries:
-                self._with_retry(
-                    "ingest.quarantine",
-                    lambda: [self.quarantine.add(e) for e in entries],
-                )
+        if staged:
+            self._with_retry(
+                "ingest.quarantine",
+                lambda: commit_staged(staged, self.quarantine),
+            )
         self._cache_epoch_published(new_state.epoch)
         self.maintenance["delta_publishes"] += 1
         obs.count("dgms.ingest.delta_publish")
         self._fold_lattice_forward(
             old_lattice, prev_state, new_state, delta_flat
         )
-        if self.durable_root is not None:
-            self._with_retry("ingest.checkpoint", self._checkpoint_durable)
+        self._checkpoint_if_durable()
         return True
 
     def _fold_lattice_forward(
@@ -1246,27 +1212,20 @@ class DDDGMS:
 
         Folds per-node aggregate deltas into the previous epoch's node
         tables (the O(batch) path).  A stale or missing lattice is fully
-        re-materialised instead; in resilient mode a permanently failing
-        fold degrades to un-materialised queries, exactly like
-        :meth:`_lattice_or_degrade`.
+        re-materialised instead; a permanently failing fold degrades to
+        un-materialised queries, exactly like :meth:`_lattice_or_degrade`.
         """
         if self._lattice_groups is None:
             return
         if old_lattice is None or not old_lattice.fresh_for_state(prev_state):
             # nothing valid to fold forward — rebuild from scratch
-            if self.quarantine is None:
-                self._rematerialize_lattice()
-            else:
-                self._lattice_or_degrade()
+            self._lattice_or_degrade()
             return
 
         def fold():
             faults.fire("lattice.delta_merge")
             return old_lattice.fold_delta(new_state, delta_flat)
 
-        if self.quarantine is None:
-            self.cube.attach_lattice(fold())
-            return
         try:
             folded = self._with_retry("lattice.delta_merge", fold)
         except PermanentIngestError as exc:
@@ -1519,22 +1478,9 @@ class DDDGMS:
                 except ReproError:
                     continue  # still structurally invalid: stays
                 upserted.append(entry)
-            source = self.operational_store.scan("attendances")
-            built, cube, staged = self._rebuild_warehouse(source, batch)
-            self._commit_staged(staged)
-            self._replay_feedback(built.warehouse)
-            self._lattice_or_degrade(cube)
-            # commit — a redrive rewrites history (repaired rows change
-            # earlier batches), so it is always a full rebuild
-            self.source = source
-            self._pending_transformed = []
-            self._covered_rows = source.num_rows
-            self._oltp_rows = source.num_rows
-            self._built = built
-            self.warehouse = built.warehouse
-            self.etl_audit = built.etl_result.audit
-            self._commit_cube(cube)
-            self.maintenance["full_rebuilds"] += 1
+            # repaired rows change earlier batches: always a full rebuild
+            source, built, cube, staged = self._rebuild_staged(batch)
+            self._commit_rebuilt(source, built, cube)
             still_bad = {e.row.get("visit_id") for e in staged.entries}
             return [
                 e.entry_id
@@ -1544,8 +1490,7 @@ class DDDGMS:
 
         with self._writer_lock, obs.span("dgms.redrive", entries=len(store)):
             report = store.redrive(handler, repair=repair)
-            if self.durable_root is not None:
-                self._with_retry("ingest.checkpoint", self._checkpoint_durable)
+            self._checkpoint_if_durable()
             self.data_version += 1
         return report
 

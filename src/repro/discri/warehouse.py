@@ -206,12 +206,10 @@ class DiscriWarehouse:
 
     warehouse: DynamicWarehouse
     etl_result: PipelineResult
-    #: positions (in the *source* batch) of rows that reached the fact
-    #: table — ``None`` for strict builds, where every row either loaded
-    #: or aborted the build
-    kept_indices: list[int] | None = None
+    #: positions (in the *source* batch) of rows that reached the fact table
+    kept_indices: list[int]
 
-    #: source rows diverted to quarantine across ETL + load (0 if strict)
+    #: source rows diverted to quarantine across ETL + load
     rows_quarantined: int = 0
 
     #: the loader that built the star schema — retained so delta ingests
@@ -268,8 +266,7 @@ def build_discri_warehouse(
             i for i in range(result.table.num_rows) if i not in dropped
         ]
         result.table = result.table.take(survivors)
-        if kept is not None:
-            kept = [kept[i] for i in survivors]
+        kept = [kept[i] for i in survivors]
     problems = loader.schema.check_integrity()
     if problems:  # pragma: no cover - loader guarantees integrity
         raise AssertionError(f"integrity violations after load: {problems[:3]}")

@@ -43,9 +43,10 @@ from repro.etl.pipeline import (
     DiscretizationStep,
     Pipeline,
     TransformStep,
+    divert_rejected,
     with_ingest_index,
 )
-from repro.etl.quarantine import QuarantinedRow
+from repro.etl.quarantine import QuarantinedRow, commit_staged, stage
 from repro.tabular.column import Column
 from repro.tabular.table import Table
 
@@ -206,22 +207,23 @@ def run_delta(
     state: EtlDeltaState,
     batch: Table,
     *,
-    resilient: bool = False,
+    quarantine=None,
     batch_tag: str = "",
 ) -> EtlDeltaOutcome:
     """Transform one appended batch against the captured state.
 
     Pure with respect to ``state``: all cross-batch bookkeeping lands in
     the returned outcome and is only folded in by :func:`commit_delta`
-    after every downstream step of the ingest succeeded.  With
-    ``resilient=True`` rows the row-local steps reject divert to
-    ``outcome.quarantined`` (mirroring the pipeline's row-level error
-    mode); otherwise the first bad row raises, like a strict run.
+    after every downstream step of the ingest succeeded.  Rows a step
+    rejects go the way of :meth:`Pipeline.run`'s: entries in
+    ``quarantine`` (and ``outcome.quarantined``) once the run has a
+    result when there is a sink, the first row's own error when there is
+    none.
     """
     outcome = EtlDeltaOutcome()
     audit: list[str] = []
-    original = batch
     work = with_ingest_index(batch)
+    staged = stage(quarantine)  # a fallen-back run diverts nothing
 
     # -- deduplicate against all history, then within the batch ---------
     if state.seen is not None:
@@ -286,26 +288,23 @@ def run_delta(
 
     # -- row-local steps (discretise / derive) --------------------------
     for step in state.row_local:
-        if resilient:
-            work, detail, failed = step.apply_resilient(work)
-            _quarantine_failures(outcome, original, step.name, failed, batch_tag)
-        else:
-            work, detail = step.apply(work)
+        step_input = work
+        work, detail, rejected = step.apply(step_input)
+        divert_rejected(
+            staged, batch, step_input, step.name, rejected, batch_tag
+        )
         audit.append(f"{step.name}: {detail}")
 
     # -- cardinality: extend per-patient ordinals ------------------------
     if state.cardinality is not None:
         card = state.cardinality
-        if resilient:
-            work, failed = card.split_unassignable(work)
-            _quarantine_failures(outcome, original, card.name, failed, batch_tag)
+        step_input = work
+        work, rejected = card.split_unassignable(step_input)
+        divert_rejected(
+            staged, batch, step_input, card.name, rejected, batch_tag
+        )
         p_values = work.column(card.patient_key).to_list()
         d_values = work.column(card.date_column).to_list()
-        if any(v is None for v in p_values) or any(v is None for v in d_values):
-            raise ETLError(
-                f"cannot assign cardinality: null values in "
-                f"{card.patient_key!r}/{card.date_column!r}; clean the data first"
-            )
         per_patient: dict[object, list[tuple[object, int]]] = {}
         for i, (p, d) in enumerate(zip(p_values, d_values)):
             count, latest = state.visits.get(p, (0, None))
@@ -334,29 +333,8 @@ def run_delta(
     outcome.kept_indices = work.column(INGEST_INDEX).to_list()
     outcome.table = work.drop(INGEST_INDEX)
     outcome.audit = "; ".join(audit)
+    outcome.quarantined = commit_staged(staged, quarantine)
     return outcome
-
-
-def _quarantine_failures(
-    outcome: EtlDeltaOutcome,
-    original: Table,
-    step_name: str,
-    failed: list[tuple[dict, BaseException]],
-    batch_tag: str,
-) -> None:
-    for row, error in failed:
-        index = int(row.get(INGEST_INDEX, -1))  # type: ignore[arg-type]
-        source_row = (
-            original.row(index)
-            if index >= 0
-            else {k: v for k, v in row.items() if k != INGEST_INDEX}
-        )
-        outcome.quarantined.append(
-            QuarantinedRow.from_error(
-                source_row, step_name, error,
-                batch=batch_tag, source_index=index,
-            )
-        )
 
 
 def commit_delta(state: EtlDeltaState, outcome: EtlDeltaOutcome) -> None:

@@ -5,16 +5,17 @@ Clinical ETL must be reviewable: a scientist has to be able to answer
 Every step therefore logs a human-readable audit entry, and the pipeline
 result carries the full trail.
 
-The pipeline has two execution modes.  The default (`run(table)`) is
-all-or-nothing: any failing row aborts the batch, as a unit-test fixture
-or a trusted source wants.  Passing a quarantine sink
-(`run(table, quarantine=...)`) switches every step into **row-level error
-mode**: rows a step cannot transform are diverted to the sink as
-:class:`~repro.etl.quarantine.QuarantinedRow` entries — carrying the
+Every step makes one pass over its rows and reports the rows it could not
+transform next to the ones it could; what happens to a rejected row is
+decided once, by :func:`repro.etl.quarantine.divert`.  Given a quarantine
+sink (`run(table, quarantine=...)`) the row becomes a
+:class:`~repro.etl.quarantine.QuarantinedRow` entry — carrying the
 originating step's audit context and the pristine source row — and the
-batch continues with the survivors.  Step *configuration* errors (a
-missing column, an empty pipeline) still raise in both modes; only
-per-row data problems quarantine.
+batch continues with the survivors.  Without one (`run(table)`) there is
+nowhere to divert it, so the row's own error propagates and the batch is
+all-or-nothing, as a unit-test fixture or a trusted source wants.  Step
+*configuration* errors (a missing column, an empty pipeline) raise either
+way; only per-row data problems are rejections.
 """
 
 from __future__ import annotations
@@ -28,13 +29,17 @@ from repro.errors import ETLError
 from repro.etl.cleaning import MissingValuePolicy, RangeRule, clean_table
 from repro.etl.cardinality import assign_cardinality
 from repro.etl.discretization import DiscretizationScheme
-from repro.etl.quarantine import QuarantinedRow
+from repro.etl.quarantine import QuarantinedRow, commit_staged, divert, stage
 from repro.tabular.column import Column
 from repro.tabular.table import Table
 
-#: hidden column threaded through resilient runs so every surviving row
-#: can be traced back to its position in the *input* batch
+#: hidden column threaded through every run so each surviving row can be
+#: traced back to its position in the *input* batch
 INGEST_INDEX = "__ingest_index__"
+
+#: rows a step rejected: ``(position in the step's input table, error)``,
+#: in position order
+Rejected = list[tuple[int, BaseException]]
 
 
 def _require_column(step: "TransformStep", column: str, table: Table) -> None:
@@ -53,33 +58,60 @@ def with_ingest_index(table: Table) -> Table:
     )
 
 
-def _each_resilient(
-    func: Callable[[object], object],
-    items: Callable[[], Iterable[object]],
-    row_of: Callable[[int], dict],
-) -> tuple[list[object], Sequence[int], list[tuple[dict, BaseException]]]:
-    """``func`` over ``items()``: ``(values, kept positions, failed rows)``.
+def _map_rows(
+    func: Callable[[object], object], items: Iterable[object]
+) -> tuple[list[object], Rejected]:
+    """``func`` over ``items`` in one pass: the accepted values, the rest.
 
-    The whole batch is tried first, exactly as the strict path runs it,
-    so a clean batch pays nothing for resilience; only when some item
-    raises does a per-item pass over a fresh ``items()`` sort survivors
-    from failures (each paired with ``row_of(position)``, its row dict).
+    ``func`` is called exactly once per item; an item it raises on is
+    rejected with that error and contributes no value.
     """
-    try:
-        values = [func(item) for item in items()]
-        return values, range(len(values)), []
-    except Exception:  # noqa: BLE001 - which item failed is found below
-        pass
-    values = []
-    kept: list[int] = []
-    failed: list[tuple[dict, BaseException]] = []
-    for i, item in enumerate(items()):
+    values: list[object] = []
+    rejected: Rejected = []
+    for position, item in enumerate(items):
         try:
             values.append(func(item))
-            kept.append(i)
         except Exception as exc:  # step funcs raise arbitrary errors
-            failed.append((row_of(i), exc))
-    return values, kept, failed
+            rejected.append((position, exc))
+    return values, rejected
+
+
+def _without(table: Table, rejected: Rejected) -> Table:
+    """``table`` minus the rejected positions (itself when there are none)."""
+    if not rejected:
+        return table
+    keep = np.ones(table.num_rows, dtype=bool)
+    keep[[position for position, _ in rejected]] = False
+    return table.filter(keep)
+
+
+def divert_rejected(
+    quarantine,
+    original: Table,
+    step_input: Table,
+    step: str,
+    rejected: Rejected,
+    batch: str,
+) -> None:
+    """:func:`divert` each row a step rejected.
+
+    ``step_input`` is the table the step was given (it still carries
+    :data:`INGEST_INDEX`), ``original`` the batch the run started from:
+    each entry records the row's position in, and its pristine values
+    from, the original batch.
+    """
+    if not rejected:
+        return
+    indices = step_input.column(INGEST_INDEX).to_list()
+    for position, error in rejected:
+        divert(
+            quarantine,
+            step,
+            original.row(indices[position]),
+            error,
+            batch=batch,
+            source_index=indices[position],
+        )
 
 
 @dataclass
@@ -98,24 +130,15 @@ class TransformStep:
 
     name = "step"
 
-    def apply(self, table: Table) -> tuple[Table, str]:
-        """Transform the table; return (new_table, audit_detail)."""
-        raise NotImplementedError
+    def apply(self, table: Table) -> tuple[Table, str, Rejected]:
+        """Transform the table; return (new_table, audit_detail, rejected).
 
-    def apply_resilient(
-        self, table: Table
-    ) -> tuple[Table, str, list[tuple[dict, BaseException]]]:
-        """Row-level error mode: return (table, detail, failed_rows).
-
-        ``failed_rows`` pairs each undigestible row (as a dict, hidden
-        columns included) with the error that rejected it.  The default
-        assumes the step has no per-row failure mode and delegates to
-        :meth:`apply` — steps that can reject individual rows override
-        this with a single-pass implementation so the clean-batch path
-        stays as fast as the strict one.
+        ``new_table`` holds the rows the step could transform, in input
+        order; ``rejected`` names the rest by position in ``table``, each
+        with the error that rejected it (``[]`` for a step with no
+        per-row failure mode).  One pass: no row is evaluated twice.
         """
-        result, detail = self.apply(table)
-        return result, detail, []
+        raise NotImplementedError
 
 
 class CleaningStep(TransformStep):
@@ -133,14 +156,14 @@ class CleaningStep(TransformStep):
         self.constants = dict(constants or {})
         self.range_rules = list(range_rules or [])
 
-    def apply(self, table: Table) -> tuple[Table, str]:
+    def apply(self, table: Table) -> tuple[Table, str, Rejected]:
         cleaned, report = clean_table(
             table,
             missing=self.missing,
             constants=self.constants,
             range_rules=self.range_rules,
         )
-        return cleaned, report.summary()
+        return cleaned, report.summary(), []
 
 
 class DiscretizationStep(TransformStep):
@@ -166,34 +189,21 @@ class DiscretizationStep(TransformStep):
         self.output = output or f"{column}_band"
         self.keep_original = keep_original
 
-    def apply(self, table: Table) -> tuple[Table, str]:
+    def apply(self, table: Table) -> tuple[Table, str, Rejected]:
         _require_column(self, self.column, table)
-        values = table.column(self.column).to_list()
-        labels = self.scheme.assign_many(values)  # type: ignore[arg-type]
-        result = table.with_column(self.output, labels, dtype="str")
-        if not self.keep_original:
-            result = result.drop(self.column)
-        return result, self._detail()
-
-    def apply_resilient(
-        self, table: Table
-    ) -> tuple[Table, str, list[tuple[dict, BaseException]]]:
-        _require_column(self, self.column, table)
-        values = table.column(self.column).to_list()
-        labels, kept, failed = _each_resilient(
-            self.scheme.assign, lambda: values, table.row
+        labels, rejected = _map_rows(
+            self.scheme.assign, table.column(self.column).to_list()
         )
-        result = table if not failed else table.take(kept)
-        result = result.with_column(self.output, labels, dtype="str")
+        result = _without(table, rejected).with_column(
+            self.output, labels, dtype="str"
+        )
         if not self.keep_original:
             result = result.drop(self.column)
-        return result, self._detail(), failed
-
-    def _detail(self) -> str:
-        return (
+        detail = (
             f"{self.column} -> {self.output} via scheme {self.scheme.name!r} "
             f"({len(self.scheme.bins)} bins)"
         )
+        return result, detail, rejected
 
 
 class CardinalityStep(TransformStep):
@@ -207,51 +217,38 @@ class CardinalityStep(TransformStep):
         self.date_column = date_column
         self.output = output
 
-    def apply(self, table: Table) -> tuple[Table, str]:
-        _require_column(self, self.patient_key, table)
-        _require_column(self, self.date_column, table)
+    def apply(self, table: Table) -> tuple[Table, str, Rejected]:
+        work, rejected = self.split_unassignable(table)
         result = assign_cardinality(
-            table, self.patient_key, self.date_column, output=self.output
+            work, self.patient_key, self.date_column, output=self.output
         )
-        patients = table.column(self.patient_key).n_unique()
+        patients = work.column(self.patient_key).n_unique()
         detail = (
-            f"visit ordinals in {self.output!r}: {table.num_rows} records "
+            f"visit ordinals in {self.output!r}: {work.num_rows} records "
             f"over {patients} patients"
         )
-        return result, detail
+        return result, detail, rejected
 
-    def apply_resilient(
-        self, table: Table
-    ) -> tuple[Table, str, list[tuple[dict, BaseException]]]:
-        _require_column(self, self.patient_key, table)
-        _require_column(self, self.date_column, table)
-        work, failed = self.split_unassignable(table)
-        result, detail = self.apply(work)
-        return result, detail, failed
-
-    def split_unassignable(
-        self, table: Table
-    ) -> tuple[Table, list[tuple[dict, BaseException]]]:
+    def split_unassignable(self, table: Table) -> tuple[Table, Rejected]:
         """Rows that can take an ordinal, and the rest with their reason.
 
         A visit needs a patient and a date; the check is one mask over
-        both columns, and a row dict is built only for a row that fails.
+        both columns.
         """
+        _require_column(self, self.patient_key, table)
+        _require_column(self, self.date_column, table)
         has_patient = table.column(self.patient_key).valid
         has_date = table.column(self.date_column).valid
         assignable = has_patient & has_date
         if assignable.all():
             return table, []
-        failed: list[tuple[dict, BaseException]] = []
+        rejected: Rejected = []
         for i in np.flatnonzero(~assignable).tolist():
             missing = self.date_column if has_patient[i] else self.patient_key
-            failed.append(
-                (
-                    table.row(i),
-                    ETLError(f"cannot assign cardinality: null {missing!r}"),
-                )
+            rejected.append(
+                (i, ETLError(f"cannot assign cardinality: null {missing!r}"))
             )
-        return table.filter(assignable), failed
+        return table.filter(assignable), rejected
 
 
 class DeduplicateStep(TransformStep):
@@ -267,17 +264,8 @@ class DeduplicateStep(TransformStep):
     def __init__(self, *keys: str):
         self.keys = list(keys)
 
-    def apply(self, table: Table) -> tuple[Table, str]:
-        before = table.num_rows
-        result = table.distinct(*self.keys)
-        dropped = before - result.num_rows
-        keyed = f" on ({', '.join(self.keys)})" if self.keys else ""
-        return result, f"dropped {dropped} duplicate records{keyed}"
-
-    def apply_resilient(
-        self, table: Table
-    ) -> tuple[Table, str, list[tuple[dict, BaseException]]]:
-        # Dropping duplicates is policy, not failure — nothing quarantines.
+    def apply(self, table: Table) -> tuple[Table, str, Rejected]:
+        # Dropping duplicates is policy, not failure — nothing is rejected.
         # With no explicit keys, full-row dedup must ignore the hidden
         # ingest-index column (it makes every row unique).
         keys = self.keys or [
@@ -306,18 +294,12 @@ class DeriveStep(TransformStep):
         self.dtype = dtype
         self.description = description or f"computed column {output!r}"
 
-    def apply(self, table: Table) -> tuple[Table, str]:
-        return table.with_derived(self.output, self.func, dtype=self.dtype), self.description
-
-    def apply_resilient(
-        self, table: Table
-    ) -> tuple[Table, str, list[tuple[dict, BaseException]]]:
-        values, kept, failed = _each_resilient(
-            self.func, table.iter_row_views, table.row
+    def apply(self, table: Table) -> tuple[Table, str, Rejected]:
+        values, rejected = _map_rows(self.func, table.iter_row_views())
+        result = _without(table, rejected).with_column(
+            self.output, values, dtype=self.dtype
         )
-        result = table if not failed else table.take(kept)
-        result = result.with_column(self.output, values, dtype=self.dtype)
-        return result, self.description, failed
+        return result, self.description, rejected
 
 
 @dataclass
@@ -326,11 +308,10 @@ class PipelineResult:
 
     table: Table
     audit: list[AuditEntry] = field(default_factory=list)
-    #: dead-letter entries diverted during a resilient run ([] otherwise)
+    #: dead-letter entries diverted to the run's sink ([] without one)
     quarantined: list[QuarantinedRow] = field(default_factory=list)
-    #: for resilient runs: position in the *input* batch of each output
-    #: row, in output order (``None`` for strict runs)
-    kept_indices: list[int] | None = None
+    #: position in the *input* batch of each output row, in output order
+    kept_indices: list[int] = field(default_factory=list)
 
     def audit_text(self) -> str:
         """The trail as newline-joined text."""
@@ -357,56 +338,34 @@ class Pipeline:
     ) -> PipelineResult:
         """Execute every step in order, collecting the audit trail.
 
-        Without ``quarantine`` any row a step cannot transform raises and
-        aborts the batch (the strict, historical contract).  With a
-        quarantine sink (anything exposing ``add(QuarantinedRow)``), such
-        rows divert to the sink tagged with ``batch`` and the run
-        continues; the result then also carries the diverted entries and
-        the surviving rows' positions in the input batch.
+        Rows a step rejects go through :func:`~repro.etl.quarantine.divert`:
+        with a ``quarantine`` sink (anything exposing
+        ``add(QuarantinedRow)``) they become entries tagged with ``batch``
+        and the run continues with the survivors; without one the first
+        rejected row's error propagates and the batch aborts.  The result
+        carries the diverted entries and the surviving rows' positions in
+        the input batch.
         """
         if not self.steps:
             raise ETLError("pipeline has no steps")
-        if quarantine is None:
-            audit: list[AuditEntry] = []
-            current = table
-            for step in self.steps:
-                current, detail = step.apply(current)
-                audit.append(AuditEntry(step.name, detail))
-            return PipelineResult(current, audit)
-        return self._run_resilient(table, quarantine, batch)
-
-    def _run_resilient(
-        self, table: Table, quarantine, batch: str
-    ) -> PipelineResult:
-        original = table
         current = with_ingest_index(table)
         audit: list[AuditEntry] = []
-        entries: list[QuarantinedRow] = []
+        # entries reach the caller's sink only once every step has run: a
+        # run that raises on a later step's configuration leaves none
+        staged = stage(quarantine)
         for step in self.steps:
-            current, detail, failed = step.apply_resilient(current)
-            if failed:
-                detail += f"; quarantined {len(failed)} rows"
-                for row, error in failed:
-                    index = int(row.get(INGEST_INDEX, -1))  # type: ignore[arg-type]
-                    if index >= 0:
-                        source_row = original.row(index)
-                    else:
-                        source_row = {
-                            k: v for k, v in row.items() if k != INGEST_INDEX
-                        }
-                    entries.append(
-                        QuarantinedRow.from_error(
-                            source_row,
-                            step.name,
-                            error,
-                            batch=batch,
-                            source_index=index,
-                        )
-                    )
+            step_input = current
+            current, detail, rejected = step.apply(step_input)
+            if rejected:
+                detail += f"; quarantined {len(rejected)} rows"
+                divert_rejected(
+                    staged, table, step_input, step.name, rejected, batch
+                )
             audit.append(AuditEntry(step.name, detail))
         kept = current.column(INGEST_INDEX).to_list()
-        for entry in entries:
-            quarantine.add(entry)
         return PipelineResult(
-            current.drop(INGEST_INDEX), audit, quarantined=entries, kept_indices=kept
+            current.drop(INGEST_INDEX),
+            audit,
+            quarantined=commit_staged(staged, quarantine),
+            kept_indices=kept,
         )

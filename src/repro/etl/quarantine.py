@@ -2,11 +2,12 @@
 
 Clinical source data fails row-by-row, not batch-by-batch: one attendance
 with a missing visit date must not poison the other nine hundred.  Every
-resilient ingest step (pipeline transforms, star-schema key resolution,
-OLTP intake) diverts failing rows here instead of aborting, each entry
-carrying the originating step, the typed error and the pristine source
-row — enough to *inspect* the failure and *re-drive* the row once the
-scheme (or the data) is fixed.
+ingest stage (pipeline transforms, star-schema key resolution, OLTP
+intake) hands a row it cannot digest to :func:`divert`, which — given a
+sink — records it here instead of aborting, each entry carrying the
+originating step, the typed error and the pristine source row — enough
+to *inspect* the failure and *re-drive* the row once the scheme (or the
+data) is fixed.
 
 The store is WAL-backed through the PR-2 durability layer: entries are
 rows of a :class:`~repro.storage.engine.StorageEngine` table whose WAL
@@ -89,6 +90,32 @@ class QuarantinedRow:
         )
 
 
+def divert(
+    quarantine,
+    step: str,
+    row: dict,
+    error: BaseException,
+    *,
+    batch: str = "",
+    source_index: int = -1,
+) -> None:
+    """The one rule for a row a stage cannot digest.
+
+    A sink (anything exposing ``add(QuarantinedRow)``) takes a dead-letter
+    entry for the row and the stage carries on with the rest; with no
+    sink there is nowhere to divert, so the row's original typed error
+    re-raises.  OLTP intake, pipeline steps, the delta ETL and the
+    star-schema load all reject rows through here.
+    """
+    if quarantine is None:
+        raise error
+    quarantine.add(
+        QuarantinedRow.from_error(
+            row, step, error, batch=batch, source_index=source_index
+        )
+    )
+
+
 def _encode_row(row: dict) -> str:
     return json.dumps(
         {k: json_encode_value(v) for k, v in row.items()}, sort_keys=True
@@ -102,9 +129,8 @@ def _decode_row(text: str) -> dict:
 class ListSink:
     """Minimal in-process quarantine sink: collects entries in a list.
 
-    Used by the ingest path to stage entries during a (retryable) rebuild
-    and commit them to the durable store only once the rebuild succeeds —
-    a retried rebuild must not double-quarantine.
+    What :func:`stage` hands out, and the sink of a system that should
+    divert bad rows without keeping them durably.
     """
 
     def __init__(self) -> None:
@@ -116,6 +142,25 @@ class ListSink:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def stage(quarantine) -> "ListSink | None":
+    """Where one attempt's entries wait for the attempt to succeed.
+
+    A pipeline run, a delta publish or a retryable rebuild diverts into
+    this and :func:`commit_staged` hands the entries on afterwards, so an
+    attempt that raised, fell back or was retried leaves nothing in the
+    real sink.  ``None`` without a sink: the stages then still raise.
+    """
+    return ListSink() if quarantine is not None else None
+
+
+def commit_staged(staged: "ListSink | None", quarantine) -> list[QuarantinedRow]:
+    """Add a successful attempt's staged entries to ``quarantine``."""
+    entries = staged.entries if staged else []
+    for entry in entries:
+        quarantine.add(entry)
+    return entries
 
 
 @dataclass

@@ -20,7 +20,6 @@ from repro.knowledge.findings import Evidence, Finding, FindingKind
 from repro.knowledge.kb import KnowledgeBase
 from repro.knowledge.ontology import Concept, Ontology, ontology_from_schema
 from repro.knowledge.guidelines import Guideline, draft_guidelines
-from repro.knowledge.persistence import load_knowledge_base, save_knowledge_base
 
 __all__ = [
     "Evidence",
@@ -32,6 +31,4 @@ __all__ = [
     "ontology_from_schema",
     "Guideline",
     "draft_guidelines",
-    "save_knowledge_base",
-    "load_knowledge_base",
 ]

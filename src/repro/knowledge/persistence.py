@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
-import warnings
 from pathlib import Path
 
 from repro.errors import KnowledgeBaseError
@@ -22,16 +21,6 @@ from repro.storage.durable import atomic_write_bytes, crc32_hex
 
 _FORMAT_VERSION = 2
 _SUPPORTED_VERSIONS = frozenset({1, 2})
-
-
-def save_knowledge_base(kb: KnowledgeBase, path: str | Path) -> None:
-    """Deprecated spelling of the unified :func:`repro.persistence.save`."""
-    warnings.warn(
-        "save_knowledge_base() is deprecated; use repro.persistence.save()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _save_knowledge_base(kb, path)
 
 
 def _save_knowledge_base(kb: KnowledgeBase, path: str | Path) -> None:
@@ -67,16 +56,6 @@ def _save_knowledge_base(kb: KnowledgeBase, path: str | Path) -> None:
         json.dumps(payload, indent=2).encode("utf-8"),
         point="kb.write",
     )
-
-
-def load_knowledge_base(path: str | Path) -> KnowledgeBase:
-    """Deprecated spelling of the unified :func:`repro.persistence.load`."""
-    warnings.warn(
-        "load_knowledge_base() is deprecated; use repro.persistence.load()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _load_knowledge_base(path)
 
 
 def _load_knowledge_base(path: str | Path) -> KnowledgeBase:

@@ -113,7 +113,7 @@ def check_dimension_consistency(
     Dimensions named in ``removable`` (none of which may appear in
     ``levels``) are removed one at a time and re-attached; each entry of
     ``addable`` is attached and detached likewise.  The warehouse is left
-    in its original composition.
+    in its original composition, dimension order included.
     """
     cube = Cube(warehouse)
     baseline = find_optimal_aggregate(
@@ -129,6 +129,7 @@ def check_dimension_consistency(
             )
         key_col = f"{name}_key"
         saved_keys = [row[key_col] for row in warehouse.schema.fact._rows]
+        position = warehouse.dimension_names.index(name)
         removed = warehouse.remove_dimension(name)
         try:
             found = find_optimal_aggregate(
@@ -136,7 +137,9 @@ def check_dimension_consistency(
             )
             report.perturbations.append((f"remove {name}", found))
         finally:
-            warehouse.add_dimension(removed, fact_keys=saved_keys)
+            warehouse.add_dimension(
+                removed, fact_keys=saved_keys, position=position
+            )
 
     for dimension, keys in addable:
         warehouse.add_dimension(dimension, fact_keys=keys)

@@ -3,9 +3,9 @@
 The platform keeps three kinds of durable state — the operational
 snapshot store (:mod:`repro.storage.persistence`), the dimensional
 warehouse (:mod:`repro.warehouse.persistence`) and the knowledge base
-(:mod:`repro.knowledge.persistence`) — which historically each grew
-their own ``save_*``/``load_*`` spelling.  This module unifies them
-behind one protocol:
+(:mod:`repro.knowledge.persistence`).  Each subsystem module owns its
+on-disk format; this module is the one public way in and out of all
+three:
 
 * :func:`save` — dispatches on the object's type; always returns the
   path the artefact now lives at;
@@ -15,8 +15,7 @@ behind one protocol:
   valid snapshot generation + WAL replay).
 
 All three raise :class:`~repro.errors.PersistenceError` on failure, with
-the subsystem's specific error preserved as ``__cause__``.  The old
-per-subsystem names still work but emit :class:`DeprecationWarning`.
+the subsystem's specific error preserved as ``__cause__``.
 """
 
 from __future__ import annotations

@@ -30,9 +30,7 @@ from repro.storage.persistence import (
     checkpoint,
     checkpoint_if_due,
     checkpoint_status,
-    load_snapshot,
     recover,
-    save_snapshot,
 )
 
 __all__ = [
@@ -43,8 +41,6 @@ __all__ = [
     "SortedIndex",
     "WriteAheadLog",
     "replay_into",
-    "save_snapshot",
-    "load_snapshot",
     "checkpoint",
     "checkpoint_if_due",
     "checkpoint_status",

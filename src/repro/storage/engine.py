@@ -141,30 +141,8 @@ class StorageEngine:
         ids (which later update/delete records reference) are identical
         after recovery.
         """
-        return self._insert(
-            self._require_txn(), self._stored(table), row, at_row_id
-        )
-
-    def insert_many(
-        self, table: str, rows: Iterable[Mapping[str, object]]
-    ) -> list[int]:
-        """Insert a batch of rows into one table; returns their row ids.
-
-        The transaction and the table are resolved once for the batch;
-        every row is still validated, indexed, logged and given its own
-        undo entry, exactly as :meth:`insert` would.
-        """
         txn = self._require_txn()
         stored = self._stored(table)
-        return [self._insert(txn, stored, row, None) for row in rows]
-
-    def _insert(
-        self,
-        txn: int,
-        stored: _StoredTable,
-        row: Mapping[str, object],
-        at_row_id: int | None,
-    ) -> int:
         clean = self._validate_row(stored.meta, row)
         self._check_pk_unique(stored, clean)
         self._check_foreign_keys(stored.meta, clean)
@@ -174,8 +152,7 @@ class StorageEngine:
             row_id = at_row_id
             if row_id in stored.rows:
                 raise StorageError(
-                    f"row id {row_id} already occupied in table "
-                    f"{stored.meta.name!r}"
+                    f"row id {row_id} already occupied in table {table!r}"
                 )
         stored.next_row_id = max(stored.next_row_id, row_id + 1)
         stored.rows[row_id] = clean
@@ -183,9 +160,7 @@ class StorageEngine:
         # Undo is registered before the WAL append so a failed append (e.g.
         # an injected fault) still rolls this row back with the transaction.
         self._undo.append(lambda: self._undo_insert(stored, row_id))
-        self.wal.append(
-            txn, OP_INSERT, stored.meta.name, {"row_id": row_id, **clean}
-        )
+        self.wal.append(txn, OP_INSERT, table, {"row_id": row_id, **clean})
         return row_id
 
     def update(

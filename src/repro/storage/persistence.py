@@ -49,7 +49,6 @@ import datetime as _dt
 import json
 import shutil
 import urllib.parse
-import warnings
 from pathlib import Path
 
 from repro import obs
@@ -88,7 +87,7 @@ def table_filename(name: str) -> str:
     """Escaped, collision-free data filename for a table.
 
     Percent-escaping is injective, so two distinct table names can only
-    collide on a case-insensitive filesystem; :func:`save_snapshot`
+    collide on a case-insensitive filesystem; :func:`_save_snapshot`
     checks for that explicitly.
     """
     if not name:
@@ -140,21 +139,6 @@ def _rows_payload(engine: StorageEngine, name: str) -> dict:
         str(row_id): {k: _encode_value(v) for k, v in row.items()}
         for row_id, row in sorted(stored.rows.items())
     }
-
-
-def save_snapshot(
-    engine: StorageEngine,
-    directory: str | Path,
-    *,
-    keep: int = KEEP_GENERATIONS,
-) -> Path:
-    """Deprecated spelling of the unified :func:`repro.persistence.save`."""
-    warnings.warn(
-        "save_snapshot() is deprecated; use repro.persistence.save()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _save_snapshot(engine, directory, keep=keep)
 
 
 def _save_snapshot(
@@ -264,16 +248,6 @@ def load_generation(gen_dir: str | Path) -> tuple[StorageEngine, dict]:
     _restore_row_id_allocators(engine, catalog)
     _rebuild_indexes(engine, catalog)
     return engine, manifest
-
-
-def load_snapshot(directory: str | Path) -> StorageEngine:
-    """Deprecated spelling of the unified :func:`repro.persistence.load`."""
-    warnings.warn(
-        "load_snapshot() is deprecated; use repro.persistence.load()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _load_snapshot(directory)
 
 
 def _load_snapshot(directory: str | Path) -> StorageEngine:

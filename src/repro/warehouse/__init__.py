@@ -25,7 +25,6 @@ from repro.warehouse.star import StarSchema, SnowflakeDimension
 from repro.warehouse.dynamic import DynamicWarehouse
 from repro.warehouse.loader import WarehouseLoader, DimensionSpec
 from repro.warehouse.feedback import FeedbackDimensionBuilder, FeedbackEntry
-from repro.warehouse.persistence import load_warehouse, save_warehouse
 
 __all__ = [
     "AttributeDef",
@@ -41,6 +40,4 @@ __all__ = [
     "DimensionSpec",
     "FeedbackDimensionBuilder",
     "FeedbackEntry",
-    "save_warehouse",
-    "load_warehouse",
 ]

@@ -55,12 +55,16 @@ class DynamicWarehouse:
         dimension: Dimension,
         fact_keys: Sequence[int] | None = None,
         default_key: int = UNKNOWN_KEY,
+        position: int | None = None,
     ) -> None:
         """Attach ``dimension``; assign ``fact_keys`` per existing fact row.
 
         With ``fact_keys=None`` every existing fact maps to ``default_key``
         (typically Unknown), which is the "add a dimension for data we will
-        only start collecting now" case.
+        only start collecting now" case.  ``position`` is where in the fact
+        grain the dimension goes (default: last) — a probe that removed a
+        dimension re-attaches it where it was, so the model lists its
+        dimensions in the same order before and after.
         """
         if dimension.name in self.schema.dimensions:
             raise WarehouseError(
@@ -71,13 +75,19 @@ class DynamicWarehouse:
             raise WarehouseError(
                 f"{len(fact_keys)} keys supplied for {fact.num_rows} fact rows"
             )
-        fact.add_dimension_column(dimension.name, default_key)
+        fact.add_dimension_column(dimension.name, default_key, position)
         if fact_keys is not None:
             key_col = f"{dimension.name}_key"
             for row, key in zip(fact._rows, fact_keys):
                 row[key_col] = int(key)
             fact._cache = None
-        self.schema.dimensions[dimension.name] = dimension
+        dimensions = self.schema.dimensions
+        dimensions[dimension.name] = dimension
+        if position is not None:
+            # the dimension dict follows the grain: move what now comes
+            # after the newcomer behind it
+            for name in fact.dimension_names[position + 1:]:
+                dimensions[name] = dimensions.pop(name)
         self.version += 1
         self.history.append(
             ModelChange(

@@ -149,11 +149,15 @@ class FactTable:
             )
         return Table.from_rows(self._rows[start:], schema=self._table_schema())
 
-    def add_dimension_column(self, dim_name: str, default_key: int) -> None:
+    def add_dimension_column(
+        self, dim_name: str, default_key: int, position: int | None = None
+    ) -> None:
         """Extend the grain with a new dimension (dynamic model support).
 
         Existing rows get ``default_key`` — typically ``UNKNOWN_KEY`` or a
-        member that means "not yet assessed".
+        member that means "not yet assessed".  The dimension joins the
+        grain last, or at ``position`` (re-attaching a removed one where
+        it was).
         """
         if dim_name in self.dimension_names:
             raise WarehouseError(
@@ -162,7 +166,9 @@ class FactTable:
         key_col = f"{dim_name}_key"
         for row in self._rows:
             row[key_col] = int(default_key)
-        self.dimension_names.append(dim_name)
+        if position is None:
+            position = len(self.dimension_names)
+        self.dimension_names.insert(position, dim_name)
         self._cache = None
 
     def drop_dimension_column(self, dim_name: str) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import ReproError, WarehouseError
-from repro.etl.quarantine import QuarantinedRow
+from repro.etl.quarantine import divert
 from repro.tabular.table import Table
 from repro.warehouse.dimension import UNKNOWN_KEY, Dimension
 from repro.warehouse.fact import FactTable, Measure
@@ -108,12 +108,13 @@ class WarehouseLoader:
     ) -> LoadReport:
         """Load every source row as one fact, creating members as needed.
 
-        Without ``quarantine`` a row that fails key resolution or fact
-        insertion raises, aborting the load.  With a quarantine sink the
-        failing row diverts there (step ``"load"``, tagged with ``batch``)
-        and loading continues; ``source_indices`` — when the source table
-        is itself the survivor subset of a larger batch — maps each source
-        position back to the original batch index recorded in the entry.
+        A row that fails key resolution or fact insertion goes through
+        :func:`~repro.etl.quarantine.divert`: with a ``quarantine`` sink it
+        becomes an entry there (step ``"load"``, tagged with ``batch``)
+        and loading continues, without one its error aborts the load.
+        ``source_indices`` — when the source table is itself the survivor
+        subset of a larger batch — maps each source position back to the
+        original batch index recorded in the entry.
         A row never half-loads: :meth:`FactTable.insert` validates before
         appending, and dimension members created for a failing row are
         reusable vocabulary, not facts.
@@ -145,15 +146,11 @@ class WarehouseLoader:
                 }
                 self.schema.fact.insert(keys, values)
             except ReproError as exc:
-                if quarantine is None:
-                    raise
                 index = (
                     int(source_indices[i]) if source_indices is not None else i
                 )
-                quarantine.add(
-                    QuarantinedRow.from_error(
-                        row, "load", exc, batch=batch, source_index=index
-                    )
+                divert(
+                    quarantine, "load", row, exc, batch=batch, source_index=index
                 )
                 report.rows_quarantined += 1
                 report.quarantined_indices.append(i)

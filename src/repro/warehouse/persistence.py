@@ -29,7 +29,6 @@ Feedback dimensions persist like any other — their predicates are gone
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 
 from repro.errors import WarehouseError
@@ -43,18 +42,6 @@ from repro.warehouse.star import StarSchema
 
 _FORMAT_VERSION = 2
 _SUPPORTED_VERSIONS = frozenset({1, 2})
-
-
-def save_warehouse(
-    warehouse: DynamicWarehouse | StarSchema, directory: str | Path
-) -> None:
-    """Deprecated spelling of the unified :func:`repro.persistence.save`."""
-    warnings.warn(
-        "save_warehouse() is deprecated; use repro.persistence.save()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _save_warehouse(warehouse, directory)
 
 
 def _save_warehouse(
@@ -150,16 +137,6 @@ def _read_verified(path: Path, filename: str, digests: dict | None) -> str:
                 f"checksum mismatch (stored {expected}, actual {actual})"
             )
     return data.decode("utf-8")
-
-
-def load_warehouse(directory: str | Path) -> DynamicWarehouse:
-    """Deprecated spelling of the unified :func:`repro.persistence.load`."""
-    warnings.warn(
-        "load_warehouse() is deprecated; use repro.persistence.load()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _load_warehouse(directory)
 
 
 def _load_warehouse(directory: str | Path) -> DynamicWarehouse:

@@ -78,6 +78,27 @@ class TestFacade:
         )
         assert report.consistent
 
+    def test_consistency_check_leaves_the_model_as_it_found_it(self, tmp_path):
+        """A read-only probe: the removed dimension goes back where it was.
+
+        Re-attaching it last left the live system listing its dimensions
+        (and flattening its columns) in another order than a recovered one.
+        """
+        source = DiScRiGenerator(n_patients=40, seed=31).generate()
+        live = DDDGMS(source, durable_root=tmp_path / "sys")
+        names = live.warehouse.dimension_names
+        columns = live.cube.flat.column_names
+        assert names.index("exercise") < len(names) - 1  # mid-grain
+        live.check_optimum_consistency(
+            ["conditions.age_band", "personal.gender"], "fbg",
+            min_records=5, removable=["exercise", "ecg"],
+        )
+        assert live.warehouse.dimension_names == names
+        assert list(live.warehouse.schema.dimensions) == names
+        assert live.warehouse.flatten().column_names == columns
+        recovered = DDDGMS.recover(tmp_path / "sys")
+        assert recovered.warehouse.dimension_names == names
+
     def test_record_finding(self, system):
         system.record_finding(
             "test.finding", FindingKind.AGGREGATE, "statement",

@@ -60,20 +60,20 @@ class TestDeduplicateStep:
         )
 
     def test_keyed_dedup_first_wins(self, duplicated):
-        table, detail = DeduplicateStep("pid", "when").apply(duplicated)
+        table, detail, __ = DeduplicateStep("pid", "when").apply(duplicated)
         assert table.num_rows == 3
         assert table.row(0)["fbg"] == 5.0
         assert "dropped 1 duplicate" in detail
 
     def test_full_row_dedup(self):
         table = Table.from_rows([{"a": 1}, {"a": 1}, {"a": 2}])
-        result, detail = DeduplicateStep().apply(table)
+        result, detail, __ = DeduplicateStep().apply(table)
         assert result.num_rows == 2
         assert "dropped 1" in detail
 
     def test_no_duplicates_noop(self, duplicated):
         unique = duplicated.distinct("pid", "when")
-        result, detail = DeduplicateStep("pid", "when").apply(unique)
+        result, detail, __ = DeduplicateStep("pid", "when").apply(unique)
         assert result.num_rows == unique.num_rows
         assert "dropped 0" in detail
 

@@ -87,13 +87,14 @@ class TestPipeline:
 
     def test_discretize_keep_original(self, visits):
         step = DiscretizationStep("fbg", FBG_SCHEME)
-        table, detail = step.apply(visits)
+        table, detail, rejected = step.apply(visits)
+        assert rejected == []
         assert "fbg" in table and "fbg_band" in table
         assert "FBG" in detail
 
     def test_discretize_drop_original(self, visits):
         step = DiscretizationStep("fbg", FBG_SCHEME, keep_original=False)
-        table, __ = step.apply(visits)
+        table, __, __ = step.apply(visits)
         assert "fbg" not in table
 
     def test_empty_pipeline_rejected(self, visits):

@@ -168,8 +168,6 @@ class TestConfigurationErrors:
         assert "'discretize'" in message
         assert "'missing'" in message
         assert "pid" in message and "x" in message
-        with pytest.raises(ETLError):
-            step.apply_resilient(table)
 
     def test_cardinality_step_checks_both_columns(self):
         table = _batch(_clean_rows())
@@ -219,6 +217,15 @@ class TestResilientPipeline:
         rows[0]["x"] = 42.0
         with pytest.raises(ReproError):
             self._pipeline().run(_batch(rows))
+
+    def test_run_without_a_result_leaves_the_sink_alone(self):
+        rows = _clean_rows()
+        rows[1]["x"] = 42.0          # rejected by the first step ...
+        pipeline = self._pipeline().add(DiscretizationStep("missing", BOUNDED))
+        sink = ListSink()
+        with pytest.raises(ETLError, match="missing"):  # ... config error later
+            pipeline.run(_batch(rows), quarantine=sink)
+        assert len(sink) == 0
 
 
 class TestResilientLoader:

@@ -7,8 +7,14 @@ for every input row exactly once: either it survives into the output table
 position in exactly one entry's ``source_index``).  No loss, no
 duplication, and the surviving rows are byte-identical to the strict run
 over just the clean subset.  Checked on both kernel builds
-(``REPRO_SCALAR_KERNELS``), since resilient steps lean on ``take`` /
+(``REPRO_SCALAR_KERNELS``), since the steps lean on ``filter`` /
 ``distinct`` / group-by machinery.
+
+Property: strict ≡ resilient.  There is one pipeline; a run without a sink
+is the same run with nowhere to divert.  So it raises exactly when the
+run with a sink quarantines something, what it raises is the first
+quarantine entry's error, and when nothing is rejected the two results
+are equal.
 """
 
 import datetime as dt
@@ -128,3 +134,37 @@ def test_partition_no_loss_no_duplication(scalar, rows):
     with _kernels(scalar):
         strict = _pipeline().run(clean)
     assert result.table.to_rows() == strict.table.to_rows()
+
+
+@pytest.mark.parametrize("scalar", [False, True], ids=["vector", "scalar"])
+@given(rows=batches())
+@settings(max_examples=60, deadline=None)
+def test_no_sink_raises_iff_a_sink_quarantines(scalar, rows):
+    table = Table.from_rows(rows, schema=SCHEMA) if rows else Table.empty(SCHEMA)
+    pipeline = _pipeline()
+    with _kernels(scalar):
+        sink = ListSink()
+        diverted = pipeline.run(table, quarantine=sink, batch="prop")
+        try:
+            strict = pipeline.run(table, batch="prop")
+        except Exception as exc:  # noqa: BLE001 - step funcs raise anything
+            raised = exc
+        else:
+            raised = None
+
+    if not sink.entries:
+        assert raised is None
+        assert strict.table.equals(diverted.table)
+        assert strict.audit == diverted.audit
+        assert strict.kept_indices == diverted.kept_indices
+        assert strict.quarantined == []
+        return
+
+    assert raised is not None, "a sink quarantined rows the strict run accepted"
+    step_order = {step.name: i for i, step in enumerate(pipeline.steps)}
+    first = min(
+        sink.entries, key=lambda e: (step_order[e.step], e.source_index)
+    )
+    assert (type(raised).__name__, str(raised)) == (
+        first.error_type, first.reason
+    )

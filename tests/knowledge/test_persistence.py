@@ -8,7 +8,8 @@ import pytest
 from repro.errors import KnowledgeBaseError
 from repro.knowledge.findings import Evidence, FindingKind
 from repro.knowledge.kb import KnowledgeBase
-from repro.knowledge.persistence import load_knowledge_base, save_knowledge_base
+from repro.persistence import load, save
+from tests._persistence import raises_from
 
 
 @pytest.fixture()
@@ -28,8 +29,8 @@ def kb():
 
 def test_round_trip_preserves_everything(kb, tmp_path):
     path = tmp_path / "kb.json"
-    save_knowledge_base(kb, path)
-    loaded = load_knowledge_base(path)
+    save(kb, path)
+    loaded = load(path)
     assert loaded.promotion_threshold == kb.promotion_threshold
     assert len(loaded) == len(kb)
     a = loaded.get("a")
@@ -42,27 +43,27 @@ def test_round_trip_preserves_everything(kb, tmp_path):
 
 def test_loaded_base_keeps_working(kb, tmp_path):
     path = tmp_path / "kb.json"
-    save_knowledge_base(kb, path)
-    loaded = load_knowledge_base(path)
+    save(kb, path)
+    loaded = load(path)
     loaded.record("c", FindingKind.FEEDBACK, "new claim", Evidence("s", "d", 3.0))
     assert loaded.promote("c").status == "promoted"
 
 
 def test_missing_file(tmp_path):
-    with pytest.raises(KnowledgeBaseError, match="no knowledge base"):
-        load_knowledge_base(tmp_path / "absent.json")
+    with raises_from(KnowledgeBaseError, "no knowledge base"):
+        load(tmp_path / "absent.json", kind="knowledge")
 
 
 def test_unsupported_version(tmp_path):
     path = tmp_path / "kb.json"
     path.write_text(json.dumps({"format_version": 99}), encoding="utf-8")
-    with pytest.raises(KnowledgeBaseError, match="format"):
-        load_knowledge_base(path)
+    with raises_from(KnowledgeBaseError, "format"):
+        load(path)
 
 
 def test_file_is_human_readable(kb, tmp_path):
     path = tmp_path / "kb.json"
-    save_knowledge_base(kb, path)
+    save(kb, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["findings"][0]["statement"] == "claim A"
 
@@ -72,39 +73,39 @@ def test_crash_during_save_leaves_previous_file_intact(kb, tmp_path):
     from repro.storage.faults import FaultRule, SimulatedCrash, injected
 
     path = tmp_path / "kb.json"
-    save_knowledge_base(kb, path)
+    save(kb, path)
     kb.record("c", FindingKind.FEEDBACK, "late claim", Evidence("s", "d", 1.0))
     with pytest.raises(SimulatedCrash):
         with injected([FaultRule("kb.write", mode="kill")]):
-            save_knowledge_base(kb, path)
-    loaded = load_knowledge_base(path)  # the write never replaced the file
+            save(kb, path)
+    loaded = load(path)  # the write never replaced the file
     assert loaded.get("a").status == "promoted"
     assert "c" not in loaded
 
 
 def test_tampered_findings_fail_the_checksum(kb, tmp_path):
     path = tmp_path / "kb.json"
-    save_knowledge_base(kb, path)
+    save(kb, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload["findings"][0]["statement"] = "silently altered claim"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(KnowledgeBaseError, match="checksum"):
-        load_knowledge_base(path)
+    with raises_from(KnowledgeBaseError, "checksum"):
+        load(path)
 
 
 def test_garbage_bytes_are_reported_as_corruption(tmp_path):
     path = tmp_path / "kb.json"
     path.write_bytes(b"\x00\xffnot json at all")
-    with pytest.raises(KnowledgeBaseError, match="corrupt"):
-        load_knowledge_base(path)
+    with raises_from(KnowledgeBaseError, "corrupt"):
+        load(path)
 
 
 def test_v1_file_without_checksum_still_loads(kb, tmp_path):
     path = tmp_path / "kb.json"
-    save_knowledge_base(kb, path)
+    save(kb, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload["format_version"] = 1
     del payload["checksum"]
     path.write_text(json.dumps(payload), encoding="utf-8")
-    loaded = load_knowledge_base(path)
+    loaded = load(path)
     assert len(loaded) == len(kb)

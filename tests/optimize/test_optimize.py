@@ -96,6 +96,18 @@ class TestConsistency:
         assert set(dynamic.dimension_names) == before
         assert Cube(dynamic).flat.column("e.extra").null_count == 0
 
+    def test_removed_dimension_returns_to_its_position(self, dynamic):
+        # "e" is probed while a later dimension exists: it must not move last
+        dynamic.add_dimension(outcome_dimension("late", ["a"]))
+        before = dynamic.dimension_names
+        assert before.index("e") < len(before) - 1
+        check_dimension_consistency(
+            dynamic, ["p.band"], "fbg", removable=["e"]
+        )
+        assert dynamic.dimension_names == before
+        assert list(dynamic.schema.dimensions) == before
+        assert dynamic.schema.fact.key_columns == [f"{n}_key" for n in before]
+
     def test_cannot_remove_grouping_dimension(self, dynamic):
         with pytest.raises(OptimizationError, match="grouping level"):
             check_dimension_consistency(

@@ -1,4 +1,4 @@
-"""Deterministic op-count guard for the write path (counts, not seconds).
+"""Deterministic op-count guards for the write path (counts, not seconds).
 
 Ingesting one clean 60-row × 277-column batch into a durable system must
 cost work proportional to the batch: no snapshot rewrite (the WAL commit
@@ -15,9 +15,13 @@ import pytest
 
 from repro.dgms.system import DDDGMS
 from repro.discri.generator import DiScRiGenerator, offset_identifiers
+from repro.discri.warehouse import discri_pipeline
+from repro.etl.pipeline import DeriveStep
+from repro.etl.quarantine import ListSink
 from repro.storage import persistence
 from repro.storage.engine import StorageEngine
 from repro.tabular.column import Column
+from repro.tabular.table import Table
 
 BATCH_ROWS = 60
 
@@ -72,3 +76,78 @@ def test_one_clean_batch_costs_the_batch(tmp_path, calls):
         f"{calls['get_by_pk']} get_by_pk calls for {BATCH_ROWS} rows: the "
         f"intake re-fetches stored rows again"
     )
+
+
+# -- the ETL pipeline: one pass per step, clean batch or dirty ---------------
+#
+# Replaces the retired ``resilient_s / strict_s <= 1.05`` timing gate: with
+# one implementation there is no second path to time against, so what is
+# pinned is the work itself.
+
+
+def _counted_pipeline_run(monkeypatch, table):
+    """Run the DiScRi pipeline with a sink; count derive calls and row dicts."""
+    pipeline = discri_pipeline()
+    derive_calls: Counter = Counter()
+    for step in pipeline.steps:
+        if isinstance(step, DeriveStep):
+
+            def counted(row, func=step.func, output=step.output):
+                derive_calls[output] += 1
+                return func(row)
+
+            step.func = counted
+    row_calls = Counter()
+    original_row = Table.row
+
+    def counted_row(self, index):
+        row_calls["row"] += 1
+        return original_row(self, index)
+
+    monkeypatch.setattr(Table, "row", counted_row)
+    sink = ListSink()
+    result = pipeline.run(table, quarantine=sink)
+    return result, sink, derive_calls, row_calls["row"]
+
+
+@pytest.fixture(scope="module")
+def clean_batch():
+    batch = DiScRiGenerator(n_patients=40, seed=7).generate().head(BATCH_ROWS)
+    assert batch.num_rows == BATCH_ROWS
+    return batch
+
+
+def test_clean_batch_runs_each_derive_once_per_row(monkeypatch, clean_batch):
+    result, sink, derive_calls, row_calls = _counted_pipeline_run(
+        monkeypatch, clean_batch
+    )
+    assert len(sink) == 0 and result.table.num_rows == BATCH_ROWS
+    assert derive_calls == {
+        "reflex_knees_ankles": BATCH_ROWS,
+        "ewing_risk": BATCH_ROWS,
+        "visit_year": BATCH_ROWS,
+    }
+    assert row_calls == 0, "a clean batch built row dicts"
+
+
+def test_dirty_batch_still_runs_each_derive_once_per_row(monkeypatch, clean_batch):
+    rows = clean_batch.to_rows()
+    nulled = [5, 23, 41]  # three different patients: dedup keeps all three
+    assert len({rows[i]["patient_id"] for i in nulled}) == 3
+    for i in nulled:
+        rows[i]["visit_date"] = None
+    dirty = Table.from_rows(rows, schema=dict(clean_batch.schema))
+
+    result, sink, derive_calls, row_calls = _counted_pipeline_run(
+        monkeypatch, dirty
+    )
+    assert sorted(e.source_index for e in sink.entries) == nulled
+    assert result.table.num_rows == BATCH_ROWS - len(nulled)
+    # no try-the-batch-then-retry-per-row ladder: a function that raised on
+    # three rows was still called once per row, not up to twice
+    assert derive_calls == {
+        "reflex_knees_ankles": BATCH_ROWS,
+        "ewing_risk": BATCH_ROWS,
+        "visit_year": BATCH_ROWS,
+    }
+    assert row_calls <= len(nulled), "row dicts built for rows nobody rejected"

@@ -24,10 +24,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SnapshotError, WALCorruptionError
+from repro.persistence import save
 from repro.storage import faults
 from repro.storage.engine import StorageEngine
 from repro.storage.faults import FaultPlan, FaultRule, SimulatedCrash
-from repro.storage.persistence import checkpoint, recover, save_snapshot
+from repro.storage.persistence import checkpoint, recover
 from repro.storage.wal import HEADER_SIZE, WriteAheadLog
 
 SCHEMA = {"k": "int", "v": "str", "d": "date"}
@@ -236,7 +237,7 @@ def test_recover_falls_back_past_corrupt_generation(tmp_path):
     db = _fresh_store(tmp_path)
     with db.transaction():
         db.insert("t", {"k": 1, "v": "x", "d": None})
-    save_snapshot(db, tmp_path / "snaps")
+    save(db, tmp_path / "snaps")
     generations = sorted((tmp_path / "snaps").glob("gen-*"))
     # vandalise the newest generation's data file
     newest = generations[-1]

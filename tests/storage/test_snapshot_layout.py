@@ -5,13 +5,10 @@ import json
 import pytest
 
 from repro.errors import ChecksumError, SnapshotError, StorageError
+from repro.persistence import load, save
 from repro.storage.engine import StorageEngine
-from repro.storage.persistence import (
-    load_generation,
-    load_snapshot,
-    save_snapshot,
-    table_filename,
-)
+from repro.storage.persistence import load_generation, table_filename
+from tests._persistence import raises_from
 
 
 def _engine_with(*names: str) -> StorageEngine:
@@ -26,26 +23,26 @@ def _engine_with(*names: str) -> StorageEngine:
 class TestGenerations:
     def test_saves_accumulate_then_prune(self, tmp_path):
         db = _engine_with("t")
-        first = save_snapshot(db, tmp_path)
+        first = save(db, tmp_path)
         assert first.name == "gen-00000001"
-        second = save_snapshot(db, tmp_path)
-        third = save_snapshot(db, tmp_path)
+        second = save(db, tmp_path)
+        third = save(db, tmp_path)
         # keep=2: the oldest generation is pruned
         names = sorted(d.name for d in tmp_path.glob("gen-*"))
         assert names == [second.name, third.name]
 
     def test_load_prefers_newest(self, tmp_path):
         db = _engine_with("t")
-        save_snapshot(db, tmp_path)
+        save(db, tmp_path)
         with db.transaction():
             db.insert("t", {"k": 100})
-        save_snapshot(db, tmp_path)
-        loaded = load_snapshot(tmp_path)
+        save(db, tmp_path)
+        loaded = load(tmp_path)
         assert loaded.row_count("t") == 2
 
     def test_manifest_records_digests_for_every_file(self, tmp_path):
         db = _engine_with("alpha", "beta")
-        gen = save_snapshot(db, tmp_path)
+        gen = save(db, tmp_path)
         manifest = json.loads((gen / "MANIFEST.json").read_text())
         files = set(manifest["files"])
         on_disk = {p.name for p in gen.iterdir()} - {"MANIFEST.json"}
@@ -53,7 +50,7 @@ class TestGenerations:
 
     def test_tampered_table_file_fails_load(self, tmp_path):
         db = _engine_with("t")
-        gen = save_snapshot(db, tmp_path)
+        gen = save(db, tmp_path)
         victim = gen / table_filename("t")
         victim.write_text(victim.read_text().replace('"k": 0', '"k": 7'))
         with pytest.raises(ChecksumError, match="checksum mismatch"):
@@ -61,21 +58,21 @@ class TestGenerations:
 
     def test_missing_manifest_is_incomplete(self, tmp_path):
         db = _engine_with("t")
-        gen = save_snapshot(db, tmp_path)
+        gen = save(db, tmp_path)
         (gen / "MANIFEST.json").unlink()
         with pytest.raises(SnapshotError, match="incomplete"):
             load_generation(gen)
 
     def test_no_snapshot_raises(self, tmp_path):
-        with pytest.raises(StorageError, match="no snapshot"):
-            load_snapshot(tmp_path / "absent")
+        with raises_from(StorageError, "no snapshot"):
+            load(tmp_path / "absent", kind="storage")
 
 
 class TestNameSanitisation:
     def test_reserved_names_do_not_collide_with_metadata_files(self, tmp_path):
         db = _engine_with("catalog", "MANIFEST")
-        gen = save_snapshot(db, tmp_path)
-        loaded = load_snapshot(tmp_path)
+        gen = save(db, tmp_path)
+        loaded = load(tmp_path)
         assert loaded.table_names() == ["MANIFEST", "catalog"]
         assert loaded.row_count("catalog") == 1
         # metadata files are untouched by the table data
@@ -84,26 +81,26 @@ class TestNameSanitisation:
 
     def test_path_separators_cannot_escape_the_snapshot_dir(self, tmp_path):
         db = _engine_with("../evil", "a/b", "c\\d")
-        gen = save_snapshot(db, tmp_path / "snaps")
+        gen = save(db, tmp_path / "snaps")
         # every file landed inside the generation directory
         outside = [
             p for p in tmp_path.rglob("*")
             if p.is_file() and gen not in p.parents
         ]
         assert outside == []
-        loaded = load_snapshot(tmp_path / "snaps")
+        loaded = load(tmp_path / "snaps")
         assert loaded.table_names() == sorted(["../evil", "a/b", "c\\d"])
 
     def test_unicode_and_spaces_round_trip(self, tmp_path):
         names = ["weird name", "ünïcode", "pct%20already"]
         db = _engine_with(*names)
-        save_snapshot(db, tmp_path)
-        assert load_snapshot(tmp_path).table_names() == sorted(names)
+        save(db, tmp_path)
+        assert load(tmp_path).table_names() == sorted(names)
 
     def test_casefold_collision_rejected(self, tmp_path):
         db = _engine_with("visits", "VISITS")
-        with pytest.raises(StorageError, match="collide"):
-            save_snapshot(db, tmp_path)
+        with raises_from(StorageError, "collide"):
+            save(db, tmp_path)
 
     def test_empty_table_name_rejected(self):
         with pytest.raises(StorageError, match="empty name"):
@@ -134,7 +131,7 @@ class TestLegacyFlatLayout:
 
     def test_loads_via_compatibility_path(self, tmp_path):
         self._write_legacy(tmp_path / "old")
-        loaded = load_snapshot(tmp_path / "old")
+        loaded = load(tmp_path / "old")
         assert loaded.row_count("visits") == 2
         import datetime as dt
 
@@ -144,9 +141,9 @@ class TestLegacyFlatLayout:
 
     def test_new_saves_upgrade_to_generations(self, tmp_path):
         self._write_legacy(tmp_path / "old")
-        loaded = load_snapshot(tmp_path / "old")
-        save_snapshot(loaded, tmp_path / "old")
+        loaded = load(tmp_path / "old")
+        save(loaded, tmp_path / "old")
         # generations now take precedence over the flat files
         assert (tmp_path / "old" / "gen-00000001").is_dir()
-        again = load_snapshot(tmp_path / "old")
+        again = load(tmp_path / "old")
         assert again.row_count("visits") == 2

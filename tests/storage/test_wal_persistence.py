@@ -6,9 +6,10 @@ import json
 import pytest
 
 from repro.errors import StorageError, WALCorruptionError
+from repro.persistence import load, save
 from repro.storage.engine import StorageEngine, replay_into
-from repro.storage.persistence import load_snapshot, save_snapshot
 from repro.storage.wal import HEADER_SIZE, LogEntry, WriteAheadLog
+from tests._persistence import raises_from
 
 
 class TestWAL:
@@ -232,22 +233,22 @@ def populated():
 
 class TestSnapshots:
     def test_round_trip_values_and_dates(self, populated, tmp_path):
-        save_snapshot(populated, tmp_path / "snap")
-        loaded = load_snapshot(tmp_path / "snap")
+        save(populated, tmp_path / "snap")
+        loaded = load(tmp_path / "snap")
         assert loaded.scan("visits").equals(populated.scan("visits"))
 
     def test_indexes_rebuilt(self, populated, tmp_path):
-        save_snapshot(populated, tmp_path / "snap")
-        loaded = load_snapshot(tmp_path / "snap")
+        save(populated, tmp_path / "snap")
+        loaded = load(tmp_path / "snap")
         assert len(loaded.find("visits", "pid", 7)) == 2
 
     def test_missing_snapshot_raises(self, tmp_path):
-        with pytest.raises(StorageError, match="no snapshot"):
-            load_snapshot(tmp_path / "absent")
+        with raises_from(StorageError, "no snapshot"):
+            load(tmp_path / "absent", kind="storage")
 
     def test_schema_metadata_preserved(self, populated, tmp_path):
-        save_snapshot(populated, tmp_path / "snap")
-        loaded = load_snapshot(tmp_path / "snap")
+        save(populated, tmp_path / "snap")
+        loaded = load(tmp_path / "snap")
         assert loaded.catalog.get("visits").primary_key == "vid"
 
 

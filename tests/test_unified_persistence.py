@@ -112,35 +112,7 @@ class TestErrorContract:
 
 
 class TestDeprecatedShims:
-    """The six old per-subsystem names still work but warn."""
-
-    def test_storage_shims(self, tmp_path):
-        from repro.storage.persistence import load_snapshot, save_snapshot
-
-        with pytest.warns(DeprecationWarning, match="save_snapshot"):
-            save_snapshot(_engine(), tmp_path / "snaps")
-        with pytest.warns(DeprecationWarning, match="load_snapshot"):
-            loaded = load_snapshot(tmp_path / "snaps")
-        assert loaded.row_count("t") == 2
-
-    def test_warehouse_shims(self, tmp_path, fresh_built):
-        from repro.warehouse.persistence import load_warehouse, save_warehouse
-
-        with pytest.warns(DeprecationWarning, match="save_warehouse"):
-            save_warehouse(fresh_built.warehouse, tmp_path / "wh")
-        with pytest.warns(DeprecationWarning, match="load_warehouse"):
-            load_warehouse(tmp_path / "wh")
-
-    def test_knowledge_shims(self, tmp_path):
-        from repro.knowledge.persistence import (
-            load_knowledge_base,
-            save_knowledge_base,
-        )
-
-        with pytest.warns(DeprecationWarning, match="save_knowledge_base"):
-            save_knowledge_base(_kb(), tmp_path / "kb.json")
-        with pytest.warns(DeprecationWarning, match="load_knowledge_base"):
-            load_knowledge_base(tmp_path / "kb.json")
+    """The six old per-subsystem names are gone; nothing left warns."""
 
     def test_unified_surface_does_not_warn(self, tmp_path, recwarn):
         save(_kb(), tmp_path / "kb.json")

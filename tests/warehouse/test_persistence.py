@@ -4,15 +4,16 @@ import pytest
 
 from repro.errors import WarehouseError
 from repro.olap.cube import Cube
+from repro.persistence import load, save
 from repro.warehouse.feedback import FeedbackDimensionBuilder, FeedbackEntry
-from repro.warehouse.persistence import load_warehouse, save_warehouse
+from tests._persistence import raises_from
 
 
 class TestRoundTrip:
     def test_cube_answers_identical(self, fresh_built, tmp_path):
         warehouse = fresh_built.warehouse
-        save_warehouse(warehouse, tmp_path / "wh")
-        reloaded = load_warehouse(tmp_path / "wh")
+        save(warehouse, tmp_path / "wh")
+        reloaded = load(tmp_path / "wh")
 
         original = Cube(warehouse).aggregate(
             ["conditions.age_band", "personal.gender"],
@@ -25,14 +26,14 @@ class TestRoundTrip:
         assert original.to_rows() == restored.to_rows()
 
     def test_hierarchies_survive(self, fresh_built, tmp_path):
-        save_warehouse(fresh_built.warehouse, tmp_path / "wh")
-        reloaded = load_warehouse(tmp_path / "wh")
+        save(fresh_built.warehouse, tmp_path / "wh")
+        reloaded = load(tmp_path / "wh")
         hierarchy = reloaded.schema.dimension("conditions").hierarchies["age_drill"]
         assert hierarchy.levels == ["age_band", "age_band10", "age_band5"]
 
     def test_measures_survive(self, fresh_built, tmp_path):
-        save_warehouse(fresh_built.warehouse, tmp_path / "wh")
-        reloaded = load_warehouse(tmp_path / "wh")
+        save(fresh_built.warehouse, tmp_path / "wh")
+        reloaded = load(tmp_path / "wh")
         measure = reloaded.schema.fact.measure("fbg")
         assert measure.default_aggregation == "mean"
         assert not measure.additive
@@ -43,8 +44,8 @@ class TestRoundTrip:
             FeedbackEntry("any", lambda row: True)
         )
         warehouse.fold_feedback(builder)
-        save_warehouse(warehouse, tmp_path / "wh")
-        reloaded = load_warehouse(tmp_path / "wh")
+        save(warehouse, tmp_path / "wh")
+        reloaded = load(tmp_path / "wh")
         assert reloaded.version == warehouse.version
         assert "fold_feedback" in reloaded.describe_history()
         assert "risk" in reloaded.dimension_names
@@ -55,17 +56,17 @@ class TestRoundTrip:
     def test_integrity_checked_on_load(self, fresh_built, tmp_path):
         import json
 
-        save_warehouse(fresh_built.warehouse, tmp_path / "wh")
+        save(fresh_built.warehouse, tmp_path / "wh")
         facts_file = tmp_path / "wh" / "facts.json"
         rows = json.loads(facts_file.read_text(encoding="utf-8"))
         rows[0]["personal_key"] = 99999
         facts_file.write_text(json.dumps(rows), encoding="utf-8")
-        with pytest.raises(WarehouseError, match="integrity"):
-            load_warehouse(tmp_path / "wh")
+        with raises_from(WarehouseError, "integrity"):
+            load(tmp_path / "wh")
 
     def test_missing_snapshot(self, tmp_path):
-        with pytest.raises(WarehouseError, match="no warehouse"):
-            load_warehouse(tmp_path / "ghost")
+        with raises_from(WarehouseError, "no warehouse"):
+            load(tmp_path / "ghost", kind="warehouse")
 
     def test_bad_format_version(self, tmp_path):
         import json
@@ -73,8 +74,8 @@ class TestRoundTrip:
         (tmp_path / "schema.json").write_text(
             json.dumps({"format_version": 42}), encoding="utf-8"
         )
-        with pytest.raises(WarehouseError, match="format"):
-            load_warehouse(tmp_path)
+        with raises_from(WarehouseError, "format"):
+            load(tmp_path)
 
 
 class TestDurability:
@@ -83,13 +84,13 @@ class TestDurability:
     def test_tampered_dimension_file_names_the_file(self, fresh_built, tmp_path):
         import json
 
-        save_warehouse(fresh_built.warehouse, tmp_path / "wh")
+        save(fresh_built.warehouse, tmp_path / "wh")
         victim = next((tmp_path / "wh").glob("dim_*.json"))
         members = json.loads(victim.read_text(encoding="utf-8"))
         next(iter(members.values()))["gender"] = "tampered"
         victim.write_text(json.dumps(members), encoding="utf-8")
-        with pytest.raises(WarehouseError, match="checksum mismatch") as exc:
-            load_warehouse(tmp_path / "wh")
+        with raises_from(WarehouseError, "checksum mismatch") as exc:
+            load(tmp_path / "wh")
         assert victim.name in str(exc.value)
 
     def test_crash_before_any_write_leaves_old_warehouse_loadable(
@@ -98,16 +99,16 @@ class TestDurability:
         from repro.storage.faults import FaultRule, SimulatedCrash, injected
 
         warehouse = fresh_built.warehouse
-        save_warehouse(warehouse, tmp_path / "wh")
+        save(warehouse, tmp_path / "wh")
         builder = FeedbackDimensionBuilder("risk").add(
             FeedbackEntry("any", lambda row: True)
         )
         warehouse.fold_feedback(builder)
         with pytest.raises(SimulatedCrash):
             with injected([FaultRule("warehouse.data", mode="kill")]):
-                save_warehouse(warehouse, tmp_path / "wh")
+                save(warehouse, tmp_path / "wh")
         # nothing was replaced: the previous save loads, without "risk"
-        reloaded = load_warehouse(tmp_path / "wh")
+        reloaded = load(tmp_path / "wh")
         assert "risk" not in reloaded.dimension_names
 
     def test_crash_before_manifest_is_detected_on_load(
@@ -117,25 +118,25 @@ class TestDurability:
         from repro.storage.faults import FaultRule, SimulatedCrash, injected
 
         warehouse = fresh_built.warehouse
-        save_warehouse(warehouse, tmp_path / "wh")
+        save(warehouse, tmp_path / "wh")
         builder = FeedbackDimensionBuilder("risk").add(
             FeedbackEntry("any", lambda row: True)
         )
         warehouse.fold_feedback(builder)  # changes facts.json content
         with pytest.raises(SimulatedCrash):
             with injected([FaultRule("warehouse.manifest", mode="kill")]):
-                save_warehouse(warehouse, tmp_path / "wh")
-        with pytest.raises(WarehouseError, match="integrity"):
-            load_warehouse(tmp_path / "wh")
+                save(warehouse, tmp_path / "wh")
+        with raises_from(WarehouseError, "integrity"):
+            load(tmp_path / "wh")
 
     def test_v1_manifest_without_digests_still_loads(self, fresh_built, tmp_path):
         import json
 
-        save_warehouse(fresh_built.warehouse, tmp_path / "wh")
+        save(fresh_built.warehouse, tmp_path / "wh")
         manifest_file = tmp_path / "wh" / "schema.json"
         manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
         manifest["format_version"] = 1
         del manifest["digests"]
         manifest_file.write_text(json.dumps(manifest), encoding="utf-8")
-        reloaded = load_warehouse(tmp_path / "wh")
+        reloaded = load(tmp_path / "wh")
         assert reloaded.schema.fact.measure("fbg").default_aggregation == "mean"
