@@ -10,7 +10,7 @@ all.  CI fails if that regresses.
 The workload is the serving-scale synthetic star from ``serve-bench``
 (the per-miss cost is a fixed few microseconds, so the honest denominator
 is a query at the fact-table sizes the serving layer exists for — the
-same frames the parallel-lattice and P3 scalability benches use).
+same frames the P3 scalability bench uses).
 
 Measurement notes: the two variants alternate in paired CPU-time windows
 (``time.process_time``), and the reported overhead is the smallest of

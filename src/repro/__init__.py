@@ -68,7 +68,7 @@ def open_system(source, *, config: "SystemConfig | None" = None) -> "DDDGMS":
     The recommended entry point: builds the full platform (operational
     store, ETL, warehouse, cube, knowledge base) and applies ``config``
     exactly once — observability sinks and the slow-query threshold are
-    installed here, the serving knobs (result cache, thread budget) are
+    installed here, the serving knobs (result cache, admission) are
     wired in, and the figure-shaped aggregate lattice is precomputed when
     requested — so every subsequent ``system.query()`` /
     ``system.mdx()`` / ``system.explain()`` call is traced and routed
@@ -83,10 +83,6 @@ def open_system(source, *, config: "SystemConfig | None" = None) -> "DDDGMS":
             settings.observability or "ring",
             slow_query_threshold_s=settings.slow_query_threshold_s,
         )
-    if settings.max_workers is not None:
-        from repro.serving.parallel import configure_workers
-
-        configure_workers(settings.max_workers)
     system = DDDGMS(source, promotion_threshold=settings.promotion_threshold)
     if settings.planner is not True:
         # True is the constructor default (a fresh planner is already

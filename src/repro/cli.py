@@ -11,9 +11,8 @@ Commands:
   metrics registry, ingest health, slow-query log and last span tree;
 * ``quarantine`` — list, inspect or re-drive dead-letter rows of a
   durable system (``list`` / ``show <id>`` / ``redrive [--set k=v]``);
-* ``serve-bench`` — serving load harness: result-cache speedup, parallel
-  lattice materialisation, and reader threads against a live writer;
-  writes ``BENCH_serving.json``;
+* ``serve-bench`` — serving load harness: result-cache speedup and
+  reader threads against a live writer; writes ``BENCH_serving.json``;
 * ``bench-incremental`` — incremental maintenance harness: p50 delta
   publish latency vs history scale and vs a full rebuild, plus the
   delta/rebuild parity oracle; writes ``BENCH_incremental.json``;
@@ -291,8 +290,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     payload = run_serving_bench(
         patients=args.patients,
         seed=args.seed,
-        lattice_rows=args.lattice_rows,
-        workers=args.workers,
         readers=args.readers,
         duration_s=args.duration,
         out=args.out,
@@ -502,8 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = commands.add_parser(
         "serve-bench",
-        help="serving load harness: cache speedup, parallel lattice, "
-             "readers vs live writer; writes BENCH_serving.json",
+        help="serving load harness: cache speedup, readers vs live "
+             "writer; writes BENCH_serving.json",
     )
     serve.add_argument(
         "--patients", type=int, default=200,
@@ -517,14 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--duration", type=float, default=2.0,
         help="seconds of live-writer load (default 2.0)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=4,
-        help="thread budget for the parallel lattice stage (default 4)",
-    )
-    serve.add_argument(
-        "--lattice-rows", type=int, default=200_000,
-        help="synthetic fact rows for the lattice stage (default 200000)",
     )
     serve.add_argument(
         "--out", type=Path, default=Path("BENCH_serving.json"),

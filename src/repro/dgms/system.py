@@ -116,10 +116,7 @@ class SystemConfig:
     :class:`~repro.serving.cache.CacheConfig`, or a ready
     :class:`~repro.serving.cache.ResultCache` to share between systems);
     hits are byte-identical to a fresh recompute and ingest invalidates
-    by epoch bump.  ``max_workers`` sets the process-wide thread budget
-    for lattice materialisation and large group-by fan-out (``None``
-    leaves the ``REPRO_WORKERS`` default; parallel results are
-    bit-identical to serial).
+    by epoch bump.
 
     ``serving`` bounds the read path (DESIGN.md §"Overload &
     degradation"): ``True`` for default limits, a
@@ -135,7 +132,7 @@ class SystemConfig:
     store (DESIGN.md §"Partitioned storage"): ``True`` for automatic
     partitioning + encodings, a
     :class:`~repro.storage.columnar.StorageConfig` for explicit choices
-    (partitioning spec, per-column encodings, scan executor).  Filtered
+    (partitioning spec, per-column encodings).  Filtered
     queries then prune partitions via zone maps before any kernel runs —
     answers stay byte-identical.
 
@@ -154,7 +151,6 @@ class SystemConfig:
     materialize_lattice: bool = False
     promotion_threshold: float = 3.0
     cache: "ResultCache | CacheConfig | int | bool | None" = None
-    max_workers: int | None = None
     serving: "ServingRuntime | ServingConfig | bool | None" = None
     storage: "object | bool | None" = None
     planner: "QueryPlanner | PlannerConfig | bool | None" = True
@@ -492,15 +488,10 @@ class DDDGMS:
         """Segment/encoding stats for ``ingest_health()`` (None if unused)."""
         if self.runtime.storage is None:
             return None
-        from repro.storage.columnar import executor as _scan_executor
-
-        # processes→serial scan fallbacks are process-local, not per-epoch;
-        # chaos sweeps assert on this to catch silently-degraded fan-out
-        degraded = {"scan_procs_degraded": _scan_executor.degraded_count()}
         state = self.cube._state
         if state is None or state.store is None:
-            return {"attached": True, "built": False, **degraded}
-        return {"attached": True, "built": True, **degraded, **state.store.stats()}
+            return {"attached": True, "built": False}
+        return {"attached": True, "built": True, **state.store.stats()}
 
     @property
     def epoch(self) -> int:
@@ -592,7 +583,6 @@ class DDDGMS:
     def materialize_lattice(
         self,
         level_groups: Sequence[Sequence[str]] | None = None,
-        max_workers: int | None = None,
         *,
         policy: str = "fixed",
         budget_nodes: int | None = None,
@@ -647,9 +637,7 @@ class DDDGMS:
         else:
             groups = [list(group) for group in level_groups]
         self._lattice_policy = policy
-        lattice = MaterializedCube(self.cube).materialize(
-            groups, max_workers=max_workers
-        )
+        lattice = MaterializedCube(self.cube).materialize(groups)
         self.cube.attach_lattice(lattice)
         self._lattice_groups = groups
         return lattice

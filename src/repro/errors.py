@@ -169,14 +169,14 @@ class QueryTimeoutError(ServingError, TimeoutError):
 
     Raised at the next cancellation checkpoint after the deadline expires
     — at chunk boundaries inside the group-by/join kernels, between
-    lattice nodes, and inside ``parallel_map`` workers — so expiry is
+    lattice nodes, and between partition segments — so expiry is
     observed in bounded time and no partial result is ever published.
     """
 
 
 class QueryCancelledError(ServingError):
-    """A query was cancelled before completing (e.g. a sibling worker
-    failed and the fan-out is draining).  Checkpoints raise this when the
+    """A query was cancelled before completing (e.g. its caller gave up or
+    the epoch it pinned was retired).  Checkpoints raise this when the
     active :class:`~repro.serving.resilience.Deadline` was explicitly
     cancelled rather than timing out.
     """

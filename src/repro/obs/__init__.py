@@ -61,7 +61,6 @@ __all__ = [
     "PlanNode", "ExplainReport", "profile",
     "configure", "configure_from_env", "configure_mode", "disable", "enabled",
     "span", "count", "observe", "set_gauge", "metrics", "slow_log", "tracer",
-    "warn_once", "reset_warn_once",
 ]
 
 #: Environment switch: "" / "0" off; "1" or "ring" → ring sink;
@@ -142,18 +141,20 @@ def configure_mode(
 
     Modes mirror ``REPRO_OBS``: ``""``/``"0"``/``"off"`` disable;
     ``"1"``/``"ring"`` buffer span trees in memory; ``"console"`` prints
-    them to stderr; ``"jsonl:<path>"`` appends them as JSON lines.
+    them to stderr; ``"jsonl:<path>"`` appends them as JSON lines.  Only
+    the keyword is case-insensitive; a path keeps its case.
     """
-    mode = mode.strip().lower()
-    if mode in ("", "0", "false", "no", "off"):
+    keyword, sep, path = mode.strip().partition(":")
+    keyword = keyword.lower() + sep
+    if keyword in ("", "0", "false", "no", "off"):
         disable()
         return False
-    if mode in ("1", "true", "yes", "on", "ring"):
+    if keyword in ("1", "true", "yes", "on", "ring"):
         sinks: list[Sink] = [RingBufferSink()]
-    elif mode == "console":
+    elif keyword == "console":
         sinks = [ConsoleSink()]
-    elif mode.startswith("jsonl:"):
-        sinks = [JsonLinesSink(mode.split(":", 1)[1])]
+    elif keyword == "jsonl:":
+        sinks = [JsonLinesSink(path)]
     else:
         raise ValueError(
             f"unrecognised {OBS_ENV}={mode!r} "
@@ -199,37 +200,6 @@ def set_gauge(name: str, value: float) -> None:
     """Set a gauge (no-op while disabled)."""
     if _STATE.on:
         _STATE.registry.gauge(name).set(value)
-
-
-#: keys already warned through :func:`warn_once` this process
-_warned_once: set[str] = set()
-
-
-def warn_once(key: str, message: str, *, stacklevel: int = 3) -> bool:
-    """Emit a one-shot :class:`RuntimeWarning` keyed by ``key``.
-
-    The counter ``key`` is incremented on *every* call (so chaos runs can
-    assert on repeat degradations) but the warning itself fires once per
-    process — a silently-degrading subsystem announces itself without
-    spamming every subsequent operation.  Returns ``True`` when the
-    warning was actually emitted.
-    """
-    import warnings
-
-    count(key)
-    if key in _warned_once:
-        return False
-    _warned_once.add(key)
-    warnings.warn(message, RuntimeWarning, stacklevel=stacklevel)
-    return True
-
-
-def reset_warn_once(key: str | None = None) -> None:
-    """Forget one (or every) :func:`warn_once` key — test hygiene hook."""
-    if key is None:
-        _warned_once.clear()
-    else:
-        _warned_once.discard(key)
 
 
 def metrics() -> MetricsRegistry:

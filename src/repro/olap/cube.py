@@ -599,7 +599,6 @@ class _CubeReads:
                     partitions_scanned=stats.segments_scanned,
                     partitions_pruned=stats.segments_pruned,
                     segments_total=stats.segments_total,
-                    scan_executor=stats.executor,
                     partition_detail=_partition_detail(stats),
                 )
                 scan_sp.set(
@@ -970,7 +969,7 @@ class Cube(_CubeReads):
         Takes effect at the next epoch build (``publish`` / first query):
         the flat view is sharded per ``config.partitioning`` into
         encoded segments with zone maps, filtered base scans prune and
-        fan out per partition, and ``publish_delta`` appends segments
+        scan per partition, and ``publish_delta`` appends segments
         instead of lazy row blocks.  ``None``/``False`` detaches (future
         epochs revert to the monolithic flat view); already-published
         store-backed epochs are immutable and keep serving as built.

@@ -6,7 +6,9 @@ rolling the precomputed cells up instead of re-scanning facts.  This
 module implements that classic design over :class:`~repro.olap.cube.Cube`:
 
 * :meth:`MaterializedCube.materialize` precomputes, per node, the cell
-  table with SUM/COUNT/MIN/MAX per measure plus the record count;
+  table with SUM/COUNT/MIN/MAX per measure plus the record count — one
+  node after another in the calling thread, with a cancellation
+  checkpoint between nodes, swapped in only once all of them are built;
 * :meth:`MaterializedCube.aggregate` answers a query from the covering
   node :func:`repro.planner.router.choose_route` picks — means are
   recomposed as Σsum/Σcount, so non-additive measures still roll up
@@ -30,7 +32,6 @@ from repro.errors import OLAPError
 from repro.olap.aggregates import validate_aggregation
 from repro.olap.cube import AggregatePlan, Cube, CubeState, Executed
 from repro.planner.router import choose_route
-from repro.serving.parallel import parallel_map, resolve_workers
 from repro.serving.resilience import checkpoint
 from repro.storage import faults
 from repro.tabular.expressions import Expression
@@ -86,7 +87,6 @@ class MaterializedCube:
         self,
         level_groups: Sequence[Sequence[str]],
         measures: Sequence[str] | None = None,
-        max_workers: int | None = None,
     ) -> "MaterializedCube":
         """Precompute the given lattice nodes.
 
@@ -95,28 +95,24 @@ class MaterializedCube:
         the decomposable statistics any supported aggregation recomposes
         from.
 
-        Nodes are independent group-bys over the same pinned flat view,
-        so with ``max_workers > 1`` they build concurrently (the heavy
-        argsort/unique/segment kernels release the GIL).  Every worker
-        runs the identical serial per-node computation, so the node
-        tables are bit-identical regardless of the worker count.
+        Nodes are built into a local list and swapped in only once every
+        one succeeded, so a build that raises (an expired deadline, an
+        injected scan fault) leaves the lattice exactly as it was.
         """
         measure_names = list(measures or self.cube.schema.fact.measures)
         for name in measure_names:
             self.cube.schema.fact.measure(name)  # validate
-        level_groups = [list(group) for group in level_groups]
+        aggregations: dict[str, tuple[str, str]] = {
+            "__records": (self.RECORDS, "size")
+        }
+        for name in measure_names:
+            aggregations[f"{name}__sum"] = (name, "sum")
+            aggregations[f"{name}__count"] = (name, "count")
+            aggregations[f"{name}__min"] = (name, "min")
+            aggregations[f"{name}__max"] = (name, "max")
         # pin one epoch: every node describes the same committed flat view
         state = self.cube._current_state()
-        if self._pinned_state is not None and state is not self._pinned_state:
-            # the cube moved on since the last materialisation: nodes built
-            # from the older epoch would silently mix stale cells into the
-            # fresh lattice, so they are dropped, not extended
-            obs.count("olap.lattice.stale_nodes_dropped", len(self._nodes))
-            self._nodes = []
-        workers = resolve_workers(max_workers)
-        with obs.span(
-            "lattice.materialize", nodes=len(level_groups), workers=workers
-        ) as sp:
+        with obs.span("lattice.materialize", nodes=len(level_groups)) as sp:
             qualified_groups: list[tuple[str, ...]] = []
             for group in level_groups:
                 qualified = tuple(
@@ -126,25 +122,25 @@ class MaterializedCube:
                     raise OLAPError("cannot materialise an empty level group")
                 qualified_groups.append(qualified)
 
-            def build_node(qualified: tuple[str, ...]) -> _Node:
-                aggregations: dict[str, tuple[str, str]] = {
-                    "__records": (self.RECORDS, "size")
-                }
-                for name in measure_names:
-                    aggregations[f"{name}__sum"] = (name, "sum")
-                    aggregations[f"{name}__count"] = (name, "count")
-                    aggregations[f"{name}__min"] = (name, "min")
-                    aggregations[f"{name}__max"] = (name, "max")
+            built: list[_Node] = []
+            for qualified in qualified_groups:
+                checkpoint()
                 plan = self.cube._plan(state, qualified, aggregations, force=True)
                 table = self.cube._scan_base(plan, state).table
-                return _Node(qualified, table, tuple(measure_names))
+                built.append(_Node(qualified, table, tuple(measure_names)))
 
-            built = parallel_map(build_node, qualified_groups, max_workers=workers)
-            self._nodes.extend(built)
+            if self._pinned_state is not None and state is not self._pinned_state:
+                # the cube moved on since the last materialisation: nodes
+                # built from the older epoch would silently mix stale cells
+                # into the fresh lattice, so they are dropped, not extended
+                obs.count("olap.lattice.stale_nodes_dropped", len(self._nodes))
+                nodes = built
+            else:
+                nodes = self._nodes + built
             # smaller nodes first so lookups prefer the cheapest superset
-            # (stable sort over the deterministic input order, so the node
-            # list is identical for any worker count)
-            self._nodes.sort(key=lambda node: node.table.num_rows)
+            # (stable sort over the deterministic input order)
+            nodes.sort(key=lambda node: node.table.num_rows)
+            self._nodes = nodes
             self._pinned_state = state
             sp.set(cells=self.storage_cells())
         obs.set_gauge("olap.lattice.cells", self.storage_cells())

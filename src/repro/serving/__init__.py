@@ -1,4 +1,4 @@
-"""Concurrent query serving: epochs, result caching, bounded parallelism.
+"""Concurrent query serving: epochs, result caching, overload safety.
 
 The serving layer makes the DD-DGMS safe and fast under many concurrent
 readers with a live writer (the paper's "many clinical scientists over a
@@ -13,18 +13,19 @@ continuously refreshed warehouse" workload):
   and a byte budget, invalidated for free by the epoch bump
   (:mod:`repro.serving.cache`, wired via
   ``SystemConfig(cache=...)`` and surfaced in ``explain()``);
-* **bounded parallelism** — lattice nodes materialise over a thread pool
-  and large group-bys fan their per-group reductions out, with serial
-  results guaranteed bit-identical (:mod:`repro.serving.parallel`);
 * **overload safety** — a bounded admission gate sheds excess queries
   with a typed error, per-query deadlines cancel cooperatively at kernel
   chunk boundaries, and circuit breakers degrade broken dependencies one
   rung down the documented ladder (lattice → base scan, cache →
-  recompute, parallel → serial) instead of failing queries
+  recompute) instead of failing queries
   (:mod:`repro.serving.admission`, :mod:`repro.serving.resilience`,
   wired via ``SystemConfig(serving=...)``).
 
-``python -m repro serve-bench`` exercises the first three under load and
+Each query runs in the thread that issued it; concurrency comes from
+many reader threads over immutable epochs, not from fanning one query
+out.
+
+``python -m repro serve-bench`` exercises the first two under load and
 records the numbers in ``BENCH_serving.json``; ``python -m repro
 bench-overload`` drives 4x oversubscription through injected
 ``serving.*`` faults and records the bounds in ``BENCH_overload.json``.
@@ -47,15 +48,6 @@ from repro.serving.cache import (
     estimate_result_bytes,
 )
 from repro.serving.epoch import next_epoch_id
-from repro.serving.parallel import (
-    MIN_PARALLEL_GROUPS,
-    WORKERS_ENV,
-    configure_workers,
-    default_workers,
-    parallel_map,
-    resolve_workers,
-    split_ranges,
-)
 from repro.serving.resilience import (
     DEGRADATION_LADDER,
     BreakerConfig,
@@ -78,13 +70,6 @@ __all__ = [
     "estimate_result_bytes",
     "next_epoch_id",
     "CubeSnapshot",
-    "configure_workers",
-    "default_workers",
-    "resolve_workers",
-    "parallel_map",
-    "split_ranges",
-    "MIN_PARALLEL_GROUPS",
-    "WORKERS_ENV",
     "AdmissionGate",
     "AdmissionStats",
     "ServingConfig",

@@ -215,7 +215,7 @@ class ServingRuntime:
         # grab-or-retune the global breakers so this runtime's policy wins
         self.breakers = {
             name: breaker(name, breaker_config)
-            for name in ("lattice", "cache", "pool")
+            for name in ("lattice", "cache")
         }
 
     @contextlib.contextmanager

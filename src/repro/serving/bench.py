@@ -1,16 +1,11 @@
 """The ``serve-bench`` load harness (``python -m repro serve-bench``).
 
-Measures the three serving-layer claims and records them in
+Measures the two serving-layer claims and records them in
 ``BENCH_serving.json``:
 
 * **result cache** — repeated figure-shaped queries served from the
   versioned cache vs recomputed from the fact table (hit speedup and the
   cache hit-rate under a mixed workload);
-* **parallel lattice** — wall time of materialising a many-node lattice
-  over a large synthetic star schema with 1 worker vs N (the nodes are
-  independent group-bys whose argsort/reduceat kernels release the GIL;
-  the speedup column is only meaningful on multi-core hosts, so the
-  payload records ``cpu_count`` alongside);
 * **concurrent serving** — reader threads issuing queries against a live
   writer (ingest batches publishing new epochs), reporting aggregate
   queries/second, epochs published, and that no reader ever errored.
@@ -59,12 +54,11 @@ def _best_of(func, repeats: int = 3) -> float:
 
 
 def synthetic_star(rows: int, seed: int = 7) -> Cube:
-    """A large star schema with cheap levels and GIL-friendly int measures.
+    """A large star schema with cheap levels and int measures.
 
-    Dimension cardinalities stay small (≤ 32 members) so per-node output
-    assembly is negligible and the materialisation cost is dominated by
-    the factorise/argsort/reduceat kernels — the regime the parallel
-    lattice build targets.
+    Dimension cardinalities stay small (≤ 32 members) so per-query output
+    assembly is negligible and the cost is dominated by the
+    factorise/argsort/reduceat kernels.
     """
     rng = np.random.default_rng(seed)
     source = Table.from_columns(
@@ -90,49 +84,6 @@ def synthetic_star(rows: int, seed: int = 7) -> Cube:
     )
     loader.load(source)
     return Cube(loader.schema)
-
-
-#: lattice nodes for the synthetic star — enough independent group-bys to
-#: keep every worker busy
-SYNTHETIC_GROUPS: tuple[tuple[str, ...], ...] = (
-    ("place.site",),
-    ("place.ward",),
-    ("when.month",),
-    ("when.year",),
-    ("cohort.band",),
-    ("place.site", "when.year"),
-    ("place.ward", "when.month"),
-    ("cohort.band", "when.year"),
-    ("place.site", "cohort.band"),
-    ("when.month", "when.year"),
-    ("place.ward", "cohort.band"),
-    ("place.site", "when.month"),
-)
-
-
-def bench_parallel_lattice(
-    rows: int = 200_000, workers: int = 4, repeats: int = 3
-) -> dict:
-    """Materialise the synthetic lattice serially vs over ``workers`` threads."""
-    from repro.olap.materialized import MaterializedCube
-
-    cube = synthetic_star(rows)
-    cube.flat  # build the epoch once; both variants then time pure node builds
-    groups = [list(g) for g in SYNTHETIC_GROUPS]
-
-    def build(n: int) -> None:
-        MaterializedCube(cube).materialize(groups, max_workers=n)
-
-    serial = _best_of(lambda: build(1), repeats)
-    parallel = _best_of(lambda: build(workers), repeats)
-    return {
-        "rows": rows,
-        "nodes": len(groups),
-        "workers": workers,
-        "serial_s": round(serial, 4),
-        "parallel_s": round(parallel, 4),
-        "speedup": round(serial / parallel, 2) if parallel > 0 else None,
-    }
 
 
 def bench_result_cache(system, repeats: int = 5) -> dict:
@@ -214,13 +165,11 @@ def bench_concurrent_serving(
 def run_serving_bench(
     patients: int = 200,
     seed: int = 42,
-    lattice_rows: int = 200_000,
-    workers: int = 4,
     readers: int = 8,
     duration_s: float = 2.0,
     out: "Path | str" = "BENCH_serving.json",
 ) -> dict:
-    """Run all three stages and write ``BENCH_serving.json``."""
+    """Run both stages and write ``BENCH_serving.json``."""
     from repro.dgms.system import DDDGMS
     from repro.discri.generator import DiScRiGenerator, offset_identifiers
 
@@ -245,9 +194,6 @@ def run_serving_bench(
         },
         "cohort": {"patients": patients, "rows": cohort.num_rows},
         "result_cache": bench_result_cache(system),
-        "parallel_lattice": bench_parallel_lattice(
-            rows=lattice_rows, workers=workers
-        ),
         "concurrent_serving": bench_concurrent_serving(
             system, make_batch, readers=readers, duration_s=duration_s
         ),
@@ -260,7 +206,6 @@ def run_serving_bench(
 def format_summary(payload: dict) -> str:
     """Human-readable one-screen summary of a bench payload."""
     cache = payload["result_cache"]
-    lat = payload["parallel_lattice"]
     conc = payload["concurrent_serving"]
     lines = [
         f"host: {payload['host']['cpu_count']} cpu(s), "
@@ -268,17 +213,9 @@ def format_summary(payload: dict) -> str:
         f"result cache:   {cache['uncached_s'] * 1e3:.1f} ms uncached -> "
         f"{cache['cached_s'] * 1e3:.2f} ms cached "
         f"({cache['speedup']}x, hit rate {cache['cache']['hit_rate']:.0%})",
-        f"lattice build:  {lat['nodes']} nodes over {lat['rows']} rows: "
-        f"{lat['serial_s']:.2f} s serial -> {lat['parallel_s']:.2f} s "
-        f"with {lat['workers']} workers ({lat['speedup']}x)",
         f"concurrency:    {conc['readers']} readers x {conc['duration_s']} s "
         f"against a live writer: {conc['queries_answered']} queries "
         f"({conc['queries_per_s']}/s), {conc['epochs_published']} epochs "
         f"published, {len(conc['reader_errors'])} errors",
     ]
-    if (payload["host"]["cpu_count"] or 1) < 2:
-        lines.append(
-            "note: single-cpu host; the parallel-lattice speedup needs "
-            ">=2 cores to show"
-        )
     return "\n".join(lines)

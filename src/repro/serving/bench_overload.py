@@ -9,8 +9,8 @@ DD-DGMS with a lattice, a result cache and admission control attached:
   :class:`~repro.errors.ServingOverloadError` in under 10 ms — overload
   must never make rejection slow;
 * **chaos** — ``oversubscription``× more reader threads than admission
-  slots loop the figure-shaped query mix while ``serving.cache`` errors,
-  ``serving.pool`` errors and ``serving.scan`` slow-downs are injected.
+  slots loop the figure-shaped query mix while ``serving.cache`` errors
+  and ``serving.scan`` slow-downs are injected.
   Every admitted query must either complete *correctly* (checked against
   recompute-oracle fingerprints taken before the chaos; the epoch never
   moves, so any mismatch is a wrong or stale answer) or fail with a
@@ -159,7 +159,6 @@ def _bench_chaos(
     queries = _queries(system)
     plan = FaultPlan([
         FaultRule(point="serving.cache", mode="error", nth=0),
-        FaultRule(point="serving.pool", mode="error", nth=0),
         FaultRule(point="serving.scan", mode="slow", nth=0, delay_s=0.002),
     ])
     lock = threading.Lock()

@@ -7,28 +7,29 @@ serving layer builds that guarantee from:
 **Deadlines.**  A :class:`Deadline` is a per-query time budget plus a
 cancel flag.  It travels through the executing query via a
 :data:`contextvars.ContextVar`, so the group-by/join kernels, lattice
-scans and ``parallel_map`` workers can call :func:`checkpoint` at chunk
-boundaries without threading a handle through every signature.  An
-expired deadline raises :class:`~repro.errors.QueryTimeoutError`; an
-explicitly cancelled one raises
-:class:`~repro.errors.QueryCancelledError`.  Checkpoints cost one
+builds and partition scans — all of which run in the query's own
+thread — can call :func:`checkpoint` at chunk boundaries without
+threading a handle through every signature.  An expired deadline raises
+:class:`~repro.errors.QueryTimeoutError`; an explicitly cancelled one
+raises :class:`~repro.errors.QueryCancelledError`.  Checkpoints cost one
 ContextVar read + one monotonic clock read — cheap enough for hot loops
 at chunk granularity.
 
-Deadlines form a chain: a worker thread gets a ``child()`` of the
-query's deadline, so cancelling the parent cancels every worker, while
-a worker can be cancelled alone (fan-out draining after a sibling
-failure).  ``expires_at`` is the minimum over the chain.
+Deadlines form a chain: a per-query budget set without a serving
+runtime (:func:`repro.olap.query.serving_scope`) is built with
+``parent=`` any active outer deadline, so cancelling the outer deadline
+also cancels the inner one, and the inner budget can only shorten the
+outer one.  ``expires_at`` is the minimum over the chain.
 
 **Circuit breakers.**  A :class:`CircuitBreaker` guards one dependency
-(the materialised lattice, the result cache, the worker pool).  It is
-*closed* (requests flow) until ``failure_threshold`` consecutive
-failures open it; while *open* every ``allow()`` is refused until
-``reset_after_s`` elapses, then one *half-open* probe is let through —
-success closes the breaker, failure re-opens it.  Refusal never fails a
-query: each guarded dependency has a rung below it on the
-:data:`DEGRADATION_LADDER` (lattice → base scan, cache → recompute,
-pool → serial) and the caller silently takes that rung.
+(the materialised lattice, the result cache).  It is *closed* (requests
+flow) until ``failure_threshold`` consecutive failures open it; while
+*open* every ``allow()`` is refused until ``reset_after_s`` elapses,
+then one *half-open* probe is let through — success closes the breaker,
+failure re-opens it.  Refusal never fails a query: each guarded
+dependency has a rung below it on the :data:`DEGRADATION_LADDER`
+(lattice → base scan, cache → recompute) and the caller silently takes
+that rung.
 
 Breakers live in a process-global registry (like the obs sinks and the
 fault plan) so every cube epoch and every snapshot shares one view of a
@@ -68,7 +69,7 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 class Deadline:
-    """A cancellable time budget for one query (or one worker of one).
+    """A cancellable time budget for one query.
 
     ``budget_s=None`` means no time limit — the deadline then only
     carries the cancel flag.  ``parent`` chains deadlines: expiry and
@@ -137,10 +138,6 @@ class Deadline:
         self._why = reason
         self._cancelled.set()
 
-    def child(self, budget_s: float | None = None) -> "Deadline":
-        """A derived deadline for a worker thread (never loosens this one)."""
-        return Deadline(budget_s, parent=self, clock=self._clock)
-
     # -- enforcement ----------------------------------------------------
 
     def check(self) -> None:
@@ -161,22 +158,6 @@ _current: contextvars.ContextVar[Deadline | None] = contextvars.ContextVar(
 def current_deadline() -> Deadline | None:
     """The deadline governing the calling context (``None`` = unbounded)."""
     return _current.get()
-
-
-def install_deadline(deadline: Deadline | None) -> contextvars.Token:
-    """Low-level: bind ``deadline`` in this thread's context.
-
-    Worker threads use this directly because ContextVars do not cross
-    ``ThreadPoolExecutor`` boundaries; query code should prefer
-    :func:`deadline_scope`.  Pass the returned token to
-    :func:`restore_deadline`.
-    """
-    return _current.set(deadline)
-
-
-def restore_deadline(token: contextvars.Token) -> None:
-    """Undo a matching :func:`install_deadline`."""
-    _current.reset(token)
 
 
 @contextlib.contextmanager
@@ -225,7 +206,6 @@ def cooperative_sleep(seconds: float, *, step_s: float = 0.005) -> None:
 DEGRADATION_LADDER = {
     "lattice": "base-scan",
     "cache": "recompute",
-    "pool": "serial",
 }
 
 _CLOSED, _OPEN, _HALF_OPEN = "closed", "open", "half-open"

@@ -5,16 +5,14 @@ The flat view is sharded horizontally into immutable
 and/or visit-date band (:class:`PartitioningSpec`) — each carrying
 dictionary/RLE-encoded columns and a zone map (min/max, null counts,
 distinct-count hints).  :class:`PartitionedStore` prunes segments whose
-zones exclude a predicate before any kernel runs, fans surviving scans
-out per partition (serial / threads / ``REPRO_SCAN_PROCS`` processes)
-and reassembles flat-view row order so answers stay byte-identical to
-the unpartitioned engine.
+zones exclude a predicate before any kernel runs, scans the survivors
+in the calling thread and reassembles flat-view row order so answers
+stay byte-identical to the unpartitioned engine.
 
 Configured through the redesigned storage API::
 
     SystemConfig(storage=StorageConfig(partitioning="auto",
-                                       encodings="auto",
-                                       scan_executor="threads"))
+                                       encodings="auto"))
 """
 
 from repro.storage.columnar.config import (

@@ -3,7 +3,7 @@
 Measures the partitioned-storage claims (DESIGN.md §"Partitioned
 storage") and records them in ``BENCH_partition.json``:
 
-* **parity** — pruned, partition-fanned scans must be *byte-identical*
+* **parity** — pruned, per-partition scans must be *byte-identical*
   to filtering the flat view, for every probe predicate, on both kernel
   paths (vectorised and the scalar oracle);
 * **speedup** — at ``scale``× the base row count, band-selective

@@ -1,4 +1,4 @@
-"""Storage configuration: partitioning spec, encodings, scan executor.
+"""Storage configuration: partitioning spec and encodings.
 
 The redesigned storage API is configured in one place::
 
@@ -7,7 +7,6 @@ The redesigned storage API is configured in one place::
                                       hash_partitions=4,
                                       band_column="cardinality.visit_year"),
         encodings="auto",
-        scan_executor="threads",
     ))
 
 ``partitioning="auto"`` resolves against the flat view's schema when the
@@ -27,7 +26,7 @@ ints/dates and CRC32 for strings.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -190,32 +189,17 @@ class StorageConfig:
     (resolve from the schema at build time) or ``None`` (single
     partition).  ``encodings`` is an encoding name applied to every
     column or a per-column mapping (see
-    :mod:`repro.storage.columnar.encodings`).  ``scan_executor`` picks
-    how surviving partitions are scanned: ``"serial"``, ``"threads"`` or
-    ``"processes"`` (``None`` defers to ``REPRO_SCAN_PROCS`` / serial).
-    ``scan_procs`` bounds the process pool when the process executor is
-    used.
+    :mod:`repro.storage.columnar.encodings`).
     """
 
     partitioning: "PartitioningSpec | str | None" = "auto"
     encodings: "str | Mapping[str, str]" = "auto"
-    scan_executor: str | None = None
-    scan_procs: int | None = None
-
-    _EXECUTORS = (None, "serial", "threads", "processes")
 
     def __post_init__(self) -> None:
         if isinstance(self.partitioning, Mapping):
             object.__setattr__(
                 self, "partitioning", PartitioningSpec.from_dict(self.partitioning)
             )
-        if self.scan_executor not in self._EXECUTORS:
-            raise StorageError(
-                f"unknown scan_executor {self.scan_executor!r} "
-                "(valid: serial, threads, processes)"
-            )
-        if self.scan_procs is not None and self.scan_procs < 1:
-            raise StorageError("scan_procs must be >= 1")
         if isinstance(self.partitioning, str) and self.partitioning != "auto":
             raise StorageError(
                 f"partitioning must be a PartitioningSpec, 'auto' or None, "
@@ -241,6 +225,13 @@ def coerce_storage(value: "StorageConfig | Mapping | bool | None") -> "StorageCo
     if isinstance(value, StorageConfig):
         return value
     if isinstance(value, Mapping):
+        valid = [f.name for f in fields(StorageConfig)]
+        unknown = sorted(set(value) - set(valid))
+        if unknown:
+            raise StorageError(
+                f"unknown storage option(s) {', '.join(map(repr, unknown))} "
+                f"(valid: {', '.join(valid)})"
+            )
         return StorageConfig(**dict(value))
     raise StorageError(
         f"storage must be a StorageConfig, mapping, bool or None, got {value!r}"

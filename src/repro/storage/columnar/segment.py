@@ -5,7 +5,7 @@ of encoded columns (:mod:`repro.storage.columnar.encodings`), the zone
 map used for pruning, and the **global row index** — each segment row's
 position in the logical flat view.  The row index is what makes
 partitioned answers byte-identical to flat-view answers: float
-aggregation is order-sensitive, so after a fan-out scan the surviving
+aggregation is order-sensitive, so after a partition scan the surviving
 rows are put back into flat-view order before any kernel touches them
 (see :meth:`~repro.storage.columnar.store.PartitionedStore.scan_filter`).
 
@@ -113,26 +113,3 @@ class Segment:
     def encoding_summary(self) -> dict[str, str]:
         """Column → encoding actually chosen (for EXPLAIN/bench output)."""
         return {name: enc.encoding for name, enc in self.columns.items()}
-
-    def __getstate__(self):
-        # Locks and the decoded cache don't cross process boundaries; the
-        # fork-based scan executor re-creates them lazily per child.
-        return {
-            "segment_id": self.segment_id,
-            "key": self.key,
-            "row_index": self.row_index,
-            "columns": self.columns,
-            "zones": self.zones,
-            "schema": self.schema,
-        }
-
-    def __setstate__(self, state):
-        self.segment_id = state["segment_id"]
-        self.key = state["key"]
-        self.row_index = state["row_index"]
-        self.columns = state["columns"]
-        self.zones = state["zones"]
-        self.num_rows = len(state["row_index"])
-        self.schema = state["schema"]
-        self._table = None
-        self._lock = threading.Lock()

@@ -11,29 +11,26 @@ compactions land after it.
 ``scan_filter`` is the partition-aware replacement for
 ``flat.filter(predicate)`` and is answer-identical to it **byte for
 byte**: segments whose zone maps exclude the predicate are pruned,
-survivors are scanned (optionally in parallel — see
-:mod:`repro.storage.columnar.executor`), and the kept rows are put back
-into flat-view order using each segment's global row index before any
-order-sensitive float kernel sees them.
+survivors are scanned one after another in the calling thread, and the
+kept rows are put back into flat-view order using each segment's global
+row index before any order-sensitive float kernel sees them.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from repro.errors import SchemaMismatchError, StorageError
+from repro.serving.resilience import checkpoint
 from repro.storage.columnar.config import PartitioningSpec, StorageConfig
 from repro.storage.columnar.encodings import column_nbytes, resolve_encodings
 from repro.storage.columnar.segment import Segment
 from repro.tabular.column import Column
 from repro.tabular.expressions import Expression
 from repro.tabular.table import Table
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    pass
 
 
 class ScanStats:
@@ -51,17 +48,15 @@ class ScanStats:
         "segments_pruned",
         "rows_scanned",
         "rows_kept",
-        "executor",
         "partitions",
     )
 
-    def __init__(self, segments_total: int, executor: str):
+    def __init__(self, segments_total: int):
         self.segments_total = segments_total
         self.segments_scanned = 0
         self.segments_pruned = 0
         self.rows_scanned = 0
         self.rows_kept = 0
-        self.executor = executor
         self.partitions: list[dict] = []
 
     def to_dict(self) -> dict:
@@ -71,7 +66,6 @@ class ScanStats:
             "partitions_pruned": self.segments_pruned,
             "rows_scanned": self.rows_scanned,
             "rows_kept": self.rows_kept,
-            "executor": self.executor,
             "partitions": list(self.partitions),
         }
 
@@ -100,9 +94,7 @@ def filter_segment(
 ) -> tuple[np.ndarray, dict[str, Column], float]:
     """Scan one segment: decode, evaluate, keep matching rows.
 
-    Returns ``(kept_global_row_index, kept_columns, elapsed_ms)``.  This
-    is the unit of work every scan executor runs — in the calling
-    thread, a pool thread, or a forked worker process.
+    Returns ``(kept_global_row_index, kept_columns, elapsed_ms)``.
     """
     started = time.perf_counter()
     table = segment.table()
@@ -299,36 +291,24 @@ class PartitionedStore:
         return total
 
     def scan_filter(
-        self,
-        predicate: "Expression | None",
-        executor: str | None = None,
-        procs: int | None = None,
+        self, predicate: "Expression | None"
     ) -> tuple[Table, ScanStats]:
-        """Pruned, fanned-out equivalent of ``flat.filter(predicate)``.
+        """Pruned equivalent of ``flat.filter(predicate)``.
 
         Byte-identical to the flat-view filter: kept rows are reordered
         into ascending global row index before the table is assembled.
+        Each surviving segment is one cancellation checkpoint.
         """
-        from repro.storage.columnar import executor as scan_executor
-
-        mode = scan_executor.resolve_mode(
-            executor if executor is not None else self.config.scan_executor,
-            procs if procs is not None else self.config.scan_procs,
-        )
-        stats = ScanStats(len(self.segments), mode.name)
-        survivors: list[int] = []
-        for i, segment in enumerate(self.segments):
-            if predicate is not None and not segment.zones.may_match(predicate):
-                stats.segments_pruned += 1
-            else:
-                survivors.append(i)
-        stats.segments_scanned = len(survivors)
-        results = scan_executor.run_scan(self.segments, survivors, predicate, mode)
-
+        stats = ScanStats(len(self.segments))
         kept_indices: list[np.ndarray] = []
         kept_columns: list[dict[str, Column]] = []
-        for i, (kept_index, kept, elapsed_ms) in zip(survivors, results):
-            segment = self.segments[i]
+        for segment in self.segments:
+            if predicate is not None and not segment.zones.may_match(predicate):
+                stats.segments_pruned += 1
+                continue
+            checkpoint()
+            kept_index, kept, elapsed_ms = filter_segment(segment, predicate)
+            stats.segments_scanned += 1
             band, bucket = segment.key
             stats.rows_scanned += segment.num_rows
             stats.rows_kept += len(kept_index)
@@ -381,7 +361,7 @@ class PartitionedStore:
 
     def to_table(self) -> Table:
         """Decode the full flat view in exact flat-view row order."""
-        full, _ = self.scan_filter(None, executor="serial")
+        full, _ = self.scan_filter(None)
         return full
 
     # ------------------------------------------------------------------

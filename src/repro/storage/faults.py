@@ -42,7 +42,7 @@ which it fires, and a ``mode``:
     cancellation actually reaches every boundary.
 
 The write boundaries of the durability layer are joined by *serving*
-boundaries (``serving.scan``, ``serving.pool``, ``serving.cache``) fired
+boundaries (``serving.scan``, ``serving.cache``) fired
 via :func:`fire` on the read path, so the same plans drive overload and
 degradation chaos.
 
@@ -114,7 +114,7 @@ _PLAIN_POINTS = frozenset({
     "ingest.feedback", "ingest.lattice", "ingest.checkpoint",
     "lattice.delta_merge",
     # serving / read path
-    "serving.scan", "serving.cache", "serving.pool",
+    "serving.scan", "serving.cache",
 })
 
 #: the built-in registered-points set (see :func:`known_points`)

@@ -37,7 +37,6 @@ from repro import obs
 from repro.errors import ColumnNotFoundError, TabularError
 from repro.tabular.column import Column
 from repro.tabular.dtypes import DType
-from repro.serving.parallel import map_group_ranges
 from repro.serving.resilience import checkpoint
 from repro.tabular.factorize import (
     Factorization,
@@ -221,27 +220,18 @@ class _VectorEngine:
         ends: np.ndarray,
         one_group: Callable[[int, int], object],
     ) -> list[object]:
-        """``[one_group(a, b) for a, b in zip(starts, ends)]``, fanned out.
+        """``[one_group(a, b) for a, b in zip(starts, ends)]``.
 
         The float reductions run one numpy call per group — a Python-level
-        loop that dominates wide group-bys.  With workers configured
-        (``REPRO_WORKERS``/``configure_workers``) the group range is split
-        into contiguous chunks evaluated concurrently; every chunk runs
-        the identical ``one_group`` on the identical slice, so the
-        concatenated output equals the serial loop bit for bit.
+        loop that dominates wide group-bys, so it checkpoints every
+        :data:`CHECK_EVERY_GROUPS` groups.
         """
-        def chunk(lo: int, hi: int) -> list[object]:
-            out: list[object] = []
-            for i, (a, b) in enumerate(zip(starts[lo:hi], ends[lo:hi])):
-                if i % CHECK_EVERY_GROUPS == 0:
-                    checkpoint()  # cancellation point at chunk granularity
-                out.append(one_group(int(a), int(b)))
-            return out
-
-        fanned = map_group_ranges(chunk, self.n_groups)
-        if fanned is not None:
-            return fanned
-        return chunk(0, self.n_groups)
+        out: list[object] = []
+        for i, (a, b) in enumerate(zip(starts, ends)):
+            if i % CHECK_EVERY_GROUPS == 0:
+                checkpoint()  # cancellation point at chunk granularity
+            out.append(one_group(int(a), int(b)))
+        return out
 
     # -- kernels; each returns one Python value per group -----------------
 

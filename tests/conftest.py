@@ -44,7 +44,7 @@ def _faults_from_env():
 def _fresh_breakers():
     """Reset the process-global circuit breakers around every test.
 
-    Breakers are deliberately process-wide (one lattice, one pool), so a
+    Breakers are deliberately process-wide (one lattice, one cache), so a
     test that trips one must not leak an open breaker — and its
     degraded rung — into the next test.
     """

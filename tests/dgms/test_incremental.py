@@ -164,8 +164,6 @@ class TestDeltaParity:
         assert folded is not None and rebuilt is not None
         assert folded.is_fresh() and rebuilt.is_fresh()
         assert len(folded._nodes) == len(rebuilt._nodes)
-        # parallel materialisation stores nodes in completion order; the
-        # fold preserves request order — match nodes by their grain
         by_grain = {tuple(n.levels): n for n in rebuilt._nodes}
         for node in folded._nodes:
             assert node.table.equals(by_grain[tuple(node.levels)].table)

@@ -17,7 +17,7 @@ import repro
 from repro.dgms.system import SystemConfig
 from repro.discri.generator import DiScRiGenerator
 from repro.errors import StorageError
-from repro.storage.columnar import PartitioningSpec, StorageConfig
+from repro.storage.columnar import PartitioningSpec, StorageConfig, coerce_storage
 
 FIG4_MDX = (
     "SELECT [personal].[gender].MEMBERS ON COLUMNS, "
@@ -102,9 +102,26 @@ class TestDeprecationShims:
         assert isinstance(config.partitioning, PartitioningSpec)
         assert config.partitioning.band_column == "visit.visit_date"
 
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(StorageError, match="scan_executor"):
-            StorageConfig(scan_executor="fibers")
+    @pytest.mark.parametrize(
+        "mapping, unknown",
+        [
+            ({"encoding": "dict"}, "'encoding'"),
+            ({"scan_executor": "threads"}, "'scan_executor'"),
+            ({"scan_procs": 2}, "'scan_procs'"),
+        ],
+    )
+    def test_unknown_mapping_key_is_a_typed_error(self, mapping, unknown):
+        with pytest.raises(StorageError) as info:
+            coerce_storage(mapping)
+        message = str(info.value)
+        assert unknown in message
+        assert "partitioning" in message and "encodings" in message
+
+    def test_unknown_key_through_open_system(self, source):
+        with pytest.raises(StorageError, match="'encoding'"):
+            repro.open_system(
+                source, config=SystemConfig(storage={"encoding": "dict"})
+            )
 
 
 class TestExplainContract:

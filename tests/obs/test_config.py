@@ -11,6 +11,16 @@ from repro import obs
 from repro.obs import ConsoleSink, JsonLinesSink, RingBufferSink
 
 
+def _assert_writes_to(path):
+    """The configured JSON-lines sink targets ``path`` exactly, case included."""
+    sinks = [s for s in obs.tracer().sinks if isinstance(s, JsonLinesSink)]
+    assert [s.path for s in sinks] == [path]
+    with obs.span("op"):
+        pass
+    sinks[0].close()
+    assert path.read_text(encoding="utf-8").count("\n") == 1
+
+
 class TestConfigureMode:
     @pytest.mark.parametrize("mode", ["", "0", "off"])
     def test_off_modes_disable(self, mode):
@@ -44,6 +54,11 @@ class TestConfigureMode:
         assert tree["attrs"]["rows"] == 3
         assert [c["name"] for c in tree["children"]] == ["op_b"]
 
+    def test_jsonl_path_keeps_its_case(self, tmp_path):
+        out = tmp_path / "MixedCase" / "Trace.jsonl"
+        assert obs.configure_mode(f"JSONL:{out}") is True
+        _assert_writes_to(out)
+
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="REPRO_OBS"):
             obs.configure_mode("carrier-pigeon")
@@ -64,6 +79,12 @@ class TestConfigureFromEnv:
         monkeypatch.setenv("REPRO_OBS", "ring")
         assert obs.configure_from_env() is True
         assert obs.enabled() is True
+
+    def test_env_jsonl_path_keeps_its_case(self, monkeypatch, tmp_path):
+        out = tmp_path / "MixedCase" / "Trace.jsonl"
+        monkeypatch.setenv("REPRO_OBS", f"jsonl:{out}")
+        assert obs.configure_from_env() is True
+        _assert_writes_to(out)
 
     def test_env_threshold(self, monkeypatch):
         monkeypatch.setenv("REPRO_OBS", "ring")

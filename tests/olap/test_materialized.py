@@ -4,16 +4,19 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.errors import OLAPError
+from repro.errors import InjectedFault, OLAPError, QueryTimeoutError
 from repro.olap.cube import Cube
 from repro.olap.materialized import MaterializedCube
+from repro.serving.resilience import Deadline, deadline_scope
+from repro.storage import faults
+from repro.storage.faults import FaultPlan, FaultRule
 from repro.tabular import Table
 from repro.warehouse.dimension import Dimension
 from repro.warehouse.fact import Measure
 from repro.warehouse.loader import DimensionSpec, WarehouseLoader
 
 
-def build_cube(rows):
+def build_loader(rows):
     loader = WarehouseLoader(
         "m", "f",
         [
@@ -25,19 +28,25 @@ def build_cube(rows):
         measure_columns={"n_add": "pid"},
     )
     loader.load(Table.from_rows(rows))
-    return Cube(loader.schema)
+    return loader
+
+
+def build_cube(rows):
+    return Cube(build_loader(rows).schema)
+
+
+ROWS = [
+    {"g": "F", "band": "a", "pid": 1, "v": 7.0},
+    {"g": "F", "band": "a", "pid": 1, "v": 8.0},
+    {"g": "M", "band": "a", "pid": 2, "v": 6.0},
+    {"g": "F", "band": "b", "pid": 3, "v": 5.0},
+    {"g": "M", "band": "b", "pid": 4, "v": 4.0},
+]
 
 
 @pytest.fixture()
 def cube():
-    rows = [
-        {"g": "F", "band": "a", "pid": 1, "v": 7.0},
-        {"g": "F", "band": "a", "pid": 1, "v": 8.0},
-        {"g": "M", "band": "a", "pid": 2, "v": 6.0},
-        {"g": "F", "band": "b", "pid": 3, "v": 5.0},
-        {"g": "M", "band": "b", "pid": 4, "v": 4.0},
-    ]
-    return build_cube(rows)
+    return build_cube(ROWS)
 
 
 @pytest.fixture()
@@ -57,6 +66,50 @@ class TestMaterialization:
     def test_unknown_measure_rejected(self, cube):
         with pytest.raises(Exception):
             MaterializedCube(cube).materialize([["d.g"]], measures=["zz"])
+
+
+class TestFailedRematerialization:
+    """Regression: once the epoch had moved, ``materialize`` dropped the
+    old nodes *before* building the new ones, so a build that raised left
+    an empty lattice still pinned to the old epoch."""
+
+    GROUPS = [["d.g", "d.band"], ["d.band"]]
+
+    @pytest.fixture()
+    def moved(self):
+        """A lattice, then a second batch ingested and published."""
+        loader = build_loader(ROWS)
+        cube = Cube(loader.schema, managed=True)
+        cube.publish()
+        lattice = MaterializedCube(cube).materialize(self.GROUPS)
+        start = loader.schema.fact.num_rows
+        loader.load(Table.from_rows([{"g": "M", "band": "c", "pid": 5, "v": 3.0}]))
+        cube.publish_delta(loader.schema.flatten(start=start))
+        assert not lattice.is_fresh()
+        return lattice
+
+    def _assert_unchanged(self, lattice, nodes, pinned):
+        assert lattice._nodes == nodes
+        assert lattice._pinned_state is pinned
+
+    def test_expired_deadline_keeps_the_old_nodes(self, moved):
+        nodes, pinned = list(moved._nodes), moved._pinned_state
+        with deadline_scope(Deadline(0.0)):
+            with pytest.raises(QueryTimeoutError):
+                moved.materialize(self.GROUPS)
+        self._assert_unchanged(moved, nodes, pinned)
+
+    def test_fault_on_a_later_node_keeps_the_old_nodes(self, moved):
+        nodes, pinned = list(moved._nodes), moved._pinned_state
+        plan = FaultPlan([FaultRule("serving.scan", mode="error", nth=2)])
+        with faults.injected(plan):
+            with pytest.raises(InjectedFault):
+                moved.materialize(self.GROUPS)
+        self._assert_unchanged(moved, nodes, pinned)
+        # and the next attempt rebuilds cleanly for the new epoch
+        moved.materialize(self.GROUPS)
+        assert moved.is_fresh()
+        assert moved.storage_cells() == 5 + 3
 
 
 class TestAnswering:

@@ -185,18 +185,3 @@ class TestSnapshotAliasing:
             cube.compact_storage()
         faults.uninstall()
         assert snap.aggregate(LEVELS, AGGS).equals(grid_before)
-
-
-class TestExecutorConfig:
-    @pytest.mark.parametrize("executor", ["serial", "threads"])
-    def test_configured_executor_answers_identically(self, executor):
-        stored = _cube(
-            OLD_ROWS,
-            StorageConfig(
-                partitioning=PartitioningSpec(hash_column="card.pid", hash_partitions=3),
-                scan_executor=executor,
-            ),
-        )
-        plain = _cube(OLD_ROWS)
-        got = stored.aggregate(LEVELS, AGGS, filters=col("v") > 5.0)
-        assert got.equals(plain.aggregate(LEVELS, AGGS, filters=col("v") > 5.0))

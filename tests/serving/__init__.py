@@ -1,1 +1,1 @@
-"""Serving-layer tests: concurrency, cache properties, parallel parity."""
+"""Serving-layer tests: concurrency, cache properties, overload, cancellation."""

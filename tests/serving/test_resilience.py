@@ -21,7 +21,6 @@ from repro.errors import (
     ServingOverloadError,
 )
 from repro.serving.admission import AdmissionGate, ServingConfig, ServingRuntime
-from repro.serving.parallel import parallel_map
 from repro.serving.resilience import (
     BreakerConfig,
     CircuitBreaker,
@@ -82,15 +81,15 @@ class TestDeadline:
     def test_child_inherits_the_earliest_expiry(self):
         clock = FakeClock()
         parent = Deadline(0.5, clock=clock)
-        loose_child = parent.child(10.0)
+        loose_child = Deadline(10.0, parent=parent, clock=clock)
         assert loose_child.expires_at == parent.expires_at
-        tight_child = parent.child(0.1)
+        tight_child = Deadline(0.1, parent=parent, clock=clock)
         assert tight_child.expires_at == pytest.approx(0.1)
 
     def test_cancel_propagates_to_descendants(self):
         parent = Deadline()
-        child = parent.child()
-        grandchild = child.child()
+        child = Deadline(parent=parent)
+        grandchild = Deadline(parent=child)
         parent.cancel("epoch retired")
         assert grandchild.cancelled
         with pytest.raises(QueryCancelledError, match="epoch retired"):
@@ -98,7 +97,7 @@ class TestDeadline:
 
     def test_cancelling_a_child_leaves_the_parent_alive(self):
         parent = Deadline()
-        child = parent.child()
+        child = Deadline(parent=parent)
         child.cancel()
         assert not parent.cancelled
         parent.check()  # still fine
@@ -367,7 +366,7 @@ class TestAdmission:
         runtime = ServingRuntime(ServingConfig())
         snap = runtime.snapshot()
         assert set(snap) == {"admission", "breakers"}
-        assert set(snap["breakers"]) == {"lattice", "cache", "pool"}
+        assert set(snap["breakers"]) == {"lattice", "cache"}
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -432,20 +431,6 @@ class TestDegradationLadder:
         with faults.injected(plan):
             with pytest.raises(InjectedFault):
                 _fig4(system)
-
-    def test_pool_faults_degrade_to_serial(self, system):
-        plan = FaultPlan([FaultRule("serving.pool", mode="error", nth=0)])
-        with faults.injected(plan):
-            for _ in range(4):
-                assert parallel_map(
-                    lambda x: x * x, list(range(200)), max_workers=4
-                ) == [x * x for x in range(200)]
-        pool_brk = breaker("pool")
-        assert pool_brk.state == "open"
-        # the breaker opened after threshold engagement failures, then the
-        # remaining calls skipped the fault point entirely
-        assert plan.hits("serving.pool") == pool_brk.config.failure_threshold
-        assert active_degradations()["pool"] == "serial"
 
     def test_stalled_scan_times_out_within_the_budget(self, system):
         plan = FaultPlan([FaultRule("serving.scan", mode="stall", nth=0)])
@@ -518,9 +503,7 @@ class TestDegradationLadder:
             _fig4(system)
             health = system.ingest_health()
             assert health["serving"]["admission"]["admitted"] >= 1
-            assert set(health["serving"]["breakers"]) == {
-                "lattice", "cache", "pool",
-            }
+            assert set(health["serving"]["breakers"]) == {"lattice", "cache"}
             assert runtime is system.serving
         finally:
             system.attach_serving(None)

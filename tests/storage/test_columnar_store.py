@@ -1,4 +1,4 @@
-"""Partitioned store: pruning, parity, append/compact, executors."""
+"""Partitioned store: pruning, parity, append/compact."""
 
 import datetime as dt
 
@@ -132,30 +132,6 @@ class TestScanParity:
         assert 0 < len(chunks) < len(store.segments)
         total = sum(segment.num_rows for segment, _ in chunks)
         assert total < make_table().num_rows
-
-
-class TestExecutors:
-    @pytest.mark.parametrize("executor", ["serial", "threads"])
-    def test_executor_parity(self, store, executor):
-        predicate = (col("visit_year") >= 2006) & (col("gender") == "F")
-        expected = make_table().filter(predicate)
-        got, stats = store.scan_filter(predicate, executor=executor)
-        assert_tables_byte_equal(got, expected)
-        assert stats.executor == executor
-
-    def test_process_executor_parity(self, store):
-        predicate = col("hba1c") > 8.0
-        expected = make_table().filter(predicate)
-        got, stats = store.scan_filter(predicate, executor="processes", procs=2)
-        assert_tables_byte_equal(got, expected)
-        # forked pool when the platform has fork; degraded serial otherwise
-        assert stats.executor in ("processes", "serial")
-
-    def test_env_opt_in(self, store, monkeypatch):
-        monkeypatch.setenv("REPRO_SCAN_PROCS", "2")
-        got, stats = store.scan_filter(col("visit_year") >= 2008)
-        assert_tables_byte_equal(got, make_table().filter(col("visit_year") >= 2008))
-        assert stats.executor in ("processes", "serial")
 
 
 class TestAppendCompact:
