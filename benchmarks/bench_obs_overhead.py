@@ -1,7 +1,7 @@
 """Observability overhead: disabled probes must be free.
 
 The kernels carry their instrumentation permanently (spans and counters
-in ``groupby.agg``/``hash_join``), so the no-op fast path is a standing
+in ``groupby.agg``), so the no-op fast path is a standing
 performance contract: with tracing disabled, the instrumented group-by
 workload must run within 2% of an uninstrumented baseline (the same
 kernels with the probe calls stubbed out at module level).  CI fails if
@@ -96,7 +96,6 @@ def test_noop_span_cost(emit):
 def test_disabled_overhead_within_threshold(emit):
     """Instrumented group-by with obs disabled vs stubbed-out probes."""
     import repro.tabular.groupby as groupby_module
-    import repro.tabular.join as join_module
 
     obs.disable()
     grouped, aggs = _workload()
@@ -108,12 +107,12 @@ def test_disabled_overhead_within_threshold(emit):
     disabled_s = _best_of(run)
 
     stub = _Uninstrumented()
-    originals = (groupby_module.obs, join_module.obs)
+    original = groupby_module.obs
     try:
-        groupby_module.obs = join_module.obs = stub
+        groupby_module.obs = stub
         uninstrumented_s = _best_of(run)
     finally:
-        groupby_module.obs, join_module.obs = originals
+        groupby_module.obs = original
 
     # informational: the fully traced cost of the same workload
     ring = obs.RingBufferSink(capacity=4)
@@ -137,7 +136,7 @@ def test_disabled_overhead_within_threshold(emit):
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
     # the group-by bench record also carries the overhead comparison, so
-    # one file tells the whole kernel story (speedup + probe cost)
+    # one file tells the whole kernel story (time + probe cost)
     groupby_json = repo_root / "BENCH_groupby.json"
     if groupby_json.exists():
         record = json.loads(groupby_json.read_text(encoding="utf-8"))

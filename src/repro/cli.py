@@ -21,7 +21,7 @@ Commands:
   recompute oracle, and deadline enforcement under a stalled cache;
   writes ``BENCH_overload.json``;
 * ``bench-partition`` — partitioned-storage harness: pruned-vs-full
-  byte parity on both kernel paths, zone-map scan speedup at 10x rows,
+  byte parity, zone-map scan speedup at 10x rows,
   and dict/RLE encoding memory savings; writes ``BENCH_partition.json``;
 * ``plan-bench`` — cost-based planning harness: workload-adaptive
   materialization vs lattice-off and full-lattice on a skewed 80/20

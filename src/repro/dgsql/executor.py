@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import EvaluationError
 from repro.dgsql.ast import (
     AggregateItem,
@@ -176,30 +174,23 @@ class DGSQLExecutor:
         if not aggregations:
             raise EvaluationError("GROUP BY query selects no aggregates")
 
-        if statement.group_by:
-            result = table.groupby(*statement.group_by).agg(**aggregations)
-            wanted = [
-                item.output_name if isinstance(item, AggregateItem) else item.name
-                for item in statement.items
-            ]
-            result = result.select(
-                [c for c in result.column_names if c in set(wanted) | set(statement.group_by)]
-            )
-            renames = {
-                item.name: item.alias
-                for item in statement.items
-                if isinstance(item, ColumnItem) and item.alias
-            }
-            return result.rename(renames) if renames else result
-
-        # global aggregate: one output row
-        from repro.tabular.groupby import AGGREGATORS
-
-        row: dict[str, object] = {}
-        indices = np.arange(len(table))
-        for out_name, (target, function) in aggregations.items():
-            row[out_name] = AGGREGATORS[function](table.column(target), indices)
-        return Table.from_rows([row])
+        # no GROUP BY is a global aggregate: exactly one output row
+        result = table.groupby(*statement.group_by).agg(**aggregations)
+        if not statement.group_by:
+            return result
+        wanted = [
+            item.output_name if isinstance(item, AggregateItem) else item.name
+            for item in statement.items
+        ]
+        result = result.select(
+            [c for c in result.column_names if c in set(wanted) | set(statement.group_by)]
+        )
+        renames = {
+            item.name: item.alias
+            for item in statement.items
+            if isinstance(item, ColumnItem) and item.alias
+        }
+        return result.rename(renames) if renames else result
 
     # ------------------------------------------------------------------
 

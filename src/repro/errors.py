@@ -168,7 +168,7 @@ class QueryTimeoutError(ServingError, TimeoutError):
     """A query exceeded its deadline and was cooperatively cancelled.
 
     Raised at the next cancellation checkpoint after the deadline expires
-    — at chunk boundaries inside the group-by/join kernels, between
+    — at chunk boundaries inside the group-by kernels, between
     lattice nodes, and between partition segments — so expiry is
     observed in bounded time and no partial result is ever published.
     """

@@ -646,26 +646,16 @@ class _CubeReads:
                     )
                 specs[out_name] = (level, func)
 
-        if not qualified:
-            # Grand total: aggregate the whole table as one group.
-            import numpy as np
-
-            from repro.tabular.groupby import AGGREGATORS
-
-            everything = np.arange(len(table))
-            result = Table.from_rows([{
-                out_name: AGGREGATORS[func](table.column(target), everything)
-                for out_name, (target, func) in specs.items()
-            }])
+        checkpoint()
+        if qualified and filters is None:
+            # unchanged flat view: reuse the epoch's cached key
+            # factorisation
+            grouped = self._grouped(state, qualified)
         else:
-            checkpoint()
-            if filters is None:
-                # unchanged flat view: reuse the epoch's cached key
-                # factorisation
-                grouped = self._grouped(state, qualified)
-            else:
-                grouped = table.groupby(*qualified)
-            result = grouped.agg(**specs).sort_by(*qualified)
+            # a filtered slice, or no levels: the grand total is the
+            # zero-key group-by, one group over every row
+            grouped = table.groupby(*qualified)
+        result = grouped.agg(**specs).sort_by(*qualified)
         return Executed(
             result, "base", plan.base_rows,
             (time.perf_counter() - started) * 1000.0,

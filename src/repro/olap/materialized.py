@@ -433,11 +433,9 @@ class MaterializedCube:
             request[f"__{out}__count"] = (f"{target}__count", "sum")
 
         cells = node.table if filters is None else node.table.filter(filters)
-        if not levels:
-            rows = [self._grand_total_row(cells, request)]
-            result = Table.from_rows(rows)
-        else:
-            result = cells.groupby(*levels).agg(**request)
+        result = cells.groupby(*levels).agg(**request)
+        if not levels and cells.num_rows == 0:
+            result = self._empty_grand_total(result, request)
 
         if means:
             for out in means:
@@ -454,29 +452,21 @@ class MaterializedCube:
         return result.sort_by(*levels) if levels else result
 
     @staticmethod
-    def _grand_total_row(cells: Table, request: dict[str, tuple[str, str]]) -> dict:
-        import numpy as np
+    def _empty_grand_total(
+        result: Table, request: dict[str, tuple[str, str]]
+    ) -> Table:
+        """The grand total of a slice a filter emptied.
 
-        from repro.tabular.groupby import AGGREGATORS
-
-        if cells.num_rows == 0:
-            # A filter eliminated every cell.  The base cube's grand total
-            # over zero fact rows yields 0 for the counting aggregates
-            # (``size``/``count`` short-circuit to 0) and null for value
-            # aggregates — summing the lattice's ``__records``/``__count``
-            # columns over an empty slice must reproduce exactly that,
-            # not kernel-dependent empty-slice behaviour.
-            return {
-                out: (
-                    0
-                    if func == "sum"
-                    and (source == "__records" or source.endswith("__count"))
-                    else None
+        The base cube's grand total over zero fact rows yields 0 for the
+        counting aggregates (``size``/``count``) and null for value
+        aggregates; the lattice sums ``__records``/``__count`` cells, and
+        a sum over no cells is null, so those outputs are reset to 0.
+        """
+        for out, (source, func) in request.items():
+            if func == "sum" and (
+                source == "__records" or source.endswith("__count")
+            ):
+                result = result.with_column(
+                    out, [0], dtype=result.schema[out]
                 )
-                for out, (source, func) in request.items()
-            }
-        indices = np.arange(cells.num_rows)
-        return {
-            out: AGGREGATORS[func](cells.column(source), indices)
-            for out, (source, func) in request.items()
-        }
+        return result

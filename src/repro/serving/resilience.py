@@ -6,7 +6,7 @@ serving layer builds that guarantee from:
 
 **Deadlines.**  A :class:`Deadline` is a per-query time budget plus a
 cancel flag.  It travels through the executing query via a
-:data:`contextvars.ContextVar`, so the group-by/join kernels, lattice
+:data:`contextvars.ContextVar`, so the group-by kernels, lattice
 builds and partition scans — all of which run in the query's own
 thread — can call :func:`checkpoint` at chunk boundaries without
 threading a handle through every signature.  An expired deadline raises

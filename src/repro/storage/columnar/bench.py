@@ -4,8 +4,7 @@ Measures the partitioned-storage claims (DESIGN.md §"Partitioned
 storage") and records them in ``BENCH_partition.json``:
 
 * **parity** — pruned, per-partition scans must be *byte-identical*
-  to filtering the flat view, for every probe predicate, on both kernel
-  paths (vectorised and the scalar oracle);
+  to filtering the flat view, for every probe predicate;
 * **speedup** — at ``scale``× the base row count, band-selective
   predicates must answer at least :data:`SPEED_TARGET`× faster through
   zone-map pruning than the monolithic flat filter;
@@ -27,7 +26,7 @@ from pathlib import Path
 from repro.discri.generator import DiScRiGenerator
 from repro.storage.columnar.config import StorageConfig
 from repro.storage.columnar.store import PartitionedStore
-from repro.tabular import SCALAR_KERNELS_ENV, Table
+from repro.tabular import Table
 from repro.tabular.expressions import col
 
 #: band-selective pruned scans must beat the flat filter by this factor
@@ -83,33 +82,20 @@ def _best_ms(fn, repeats: int) -> float:
 
 
 def _bench_parity(store: PartitionedStore, flat: Table, probes) -> dict:
-    """Byte parity of pruned scans vs the flat filter, both kernel paths."""
+    """Byte parity of pruned scans vs the flat filter."""
     results = []
-    previous = os.environ.get(SCALAR_KERNELS_ENV)
-    try:
-        for kernels in ("vector", "scalar"):
-            if kernels == "scalar":
-                os.environ[SCALAR_KERNELS_ENV] = "1"
-            else:
-                os.environ.pop(SCALAR_KERNELS_ENV, None)
-            for label, predicate, _ in probes:
-                expected = flat.filter(predicate)
-                got, stats = store.scan_filter(predicate)
-                results.append(
-                    {
-                        "probe": label,
-                        "kernels": kernels,
-                        "rows": got.num_rows,
-                        "byte_equal": _tables_byte_equal(got, expected),
-                        "partitions_scanned": stats.segments_scanned,
-                        "partitions_pruned": stats.segments_pruned,
-                    }
-                )
-    finally:
-        if previous is None:
-            os.environ.pop(SCALAR_KERNELS_ENV, None)
-        else:
-            os.environ[SCALAR_KERNELS_ENV] = previous
+    for label, predicate, _ in probes:
+        expected = flat.filter(predicate)
+        got, stats = store.scan_filter(predicate)
+        results.append(
+            {
+                "probe": label,
+                "rows": got.num_rows,
+                "byte_equal": _tables_byte_equal(got, expected),
+                "partitions_scanned": stats.segments_scanned,
+                "partitions_pruned": stats.segments_pruned,
+            }
+        )
     return {
         "probes": results,
         "ok": all(r["byte_equal"] for r in results),
@@ -172,8 +158,7 @@ def run_partition_bench(
 ) -> dict:
     """Run parity, speedup and memory phases; write ``BENCH_partition.json``.
 
-    Parity runs on a small cohort (cheap, both kernel paths — the scalar
-    oracle is a Python loop); the speedup and memory phases run at
+    Parity runs on a small cohort; the speedup and memory phases run at
     ``scale``× the base row count, the regime the acceptance gate
     targets: per-row savings from pruning must dominate the fixed
     per-partition overhead there.

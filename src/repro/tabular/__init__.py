@@ -2,8 +2,8 @@
 
 This package is a small, dependency-free (numpy only) replacement for the
 slice of pandas the DD-DGMS stack needs: typed columns with null masks,
-filtering via composable expressions, group-by aggregation, hash joins and
-CSV round-trips.
+filtering via composable expressions, group-by aggregation and CSV
+round-trips.
 
 Quick tour::
 
@@ -20,16 +20,9 @@ Quick tour::
 from repro.tabular.dtypes import DType
 from repro.tabular.column import Column
 from repro.tabular.expressions import Expression, col, lit
-from repro.tabular.factorize import (
-    SCALAR_KERNELS_ENV,
-    Factorization,
-    factorize,
-    factorize_column,
-    scalar_kernels_enabled,
-)
+from repro.tabular.factorize import Factorization, factorize, factorize_column
 from repro.tabular.table import Table
 from repro.tabular.groupby import GroupBy
-from repro.tabular.join import hash_join
 from repro.tabular.csvio import read_csv, write_csv
 
 __all__ = [
@@ -38,14 +31,11 @@ __all__ = [
     "Expression",
     "col",
     "lit",
-    "SCALAR_KERNELS_ENV",
     "Factorization",
     "factorize",
     "factorize_column",
-    "scalar_kernels_enabled",
     "Table",
     "GroupBy",
-    "hash_join",
     "read_csv",
     "write_csv",
 ]

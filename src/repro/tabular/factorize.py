@@ -1,23 +1,20 @@
 """Factorisation kernels: values → dense integer codes.
 
-This is the primitive under the vectorised group-by and join paths.
+This is the primitive under group-by and ``Table.distinct``.
 :func:`factorize_column` dictionary-encodes one column (codes + uniques,
 null-aware: nulls get their own trailing code).  :func:`factorize`
 combines several key columns into one dense group-code vector via
 mixed-radix combination and remaps the result to first-occurrence order,
-so downstream consumers (group-by buckets, join build sides) see groups
-in exactly the order the per-row Python path produced.
+so groups come out in the order their first row appears.
 
-The per-row Python kernels are kept as a reference oracle; setting the
-``REPRO_SCALAR_KERNELS`` environment variable to a truthy value routes
-``GroupBy``, ``hash_join`` and ``Table.distinct`` through them.  The
-property suite in ``tests/tabular/test_kernel_parity.py`` asserts the two
-paths agree cell-for-cell.
+Key equality is ``np.unique``'s: every NaN is one key, ``-0.0`` and
+``0.0`` are one key, and nulls are one key distinct from all values.
+The property suite in ``tests/tabular/test_kernel_parity.py`` checks
+these semantics against an independent row-at-a-time reference.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -29,19 +26,9 @@ from repro.tabular.dtypes import DType
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tabular.table import Table
 
-#: Environment switch: truthy → use the per-row scalar reference kernels.
-SCALAR_KERNELS_ENV = "REPRO_SCALAR_KERNELS"
-
 #: Mixed-radix combination stays below this bound to avoid int64 overflow;
 #: past it, intermediate codes are re-compressed to a dense range first.
 _RADIX_LIMIT = np.int64(1) << 62
-
-
-def scalar_kernels_enabled() -> bool:
-    """True when the scalar (per-row Python) reference kernels are forced."""
-    return os.environ.get(SCALAR_KERNELS_ENV, "").strip().lower() not in (
-        "", "0", "false", "no",
-    )
 
 
 def _encode_column(column: Column) -> tuple[np.ndarray, object, int, bool]:
@@ -94,11 +81,12 @@ def factorize_column(column: Column) -> tuple[np.ndarray, list[object]]:
 
 @dataclass
 class Factorization:
-    """Dense group codes for one or more key columns.
+    """Dense group codes for zero or more key columns.
 
     ``codes`` assigns every row a group id in first-occurrence order;
-    ``group_keys[g]`` is group *g*'s Python key tuple; ``first_rows[g]``
-    is the row index of its first occurrence (strictly increasing).
+    ``group_keys[g]`` is group *g*'s key tuple, read off its first row;
+    ``first_rows[g]`` is the row index of that first row (strictly
+    increasing).  The one zero-key group over zero rows has no first row.
     """
 
     codes: np.ndarray
@@ -109,14 +97,6 @@ class Factorization:
     def n_groups(self) -> int:
         """Number of distinct key combinations."""
         return len(self.group_keys)
-
-    def group_rows(self) -> list[np.ndarray]:
-        """Row-index array per group (ascending), in group order."""
-        order = np.argsort(self.codes, kind="stable")
-        boundaries = np.searchsorted(
-            self.codes[order], np.arange(1, self.n_groups)
-        )
-        return np.split(order, boundaries)
 
 
 def _combine_codes(
@@ -137,38 +117,29 @@ def _combine_codes(
     return combined
 
 
-def factorize_codes(table: "Table", keys: Sequence[str]) -> np.ndarray:
-    """Composite key codes only — equal key tuples share a code.
-
-    The cheap sibling of :func:`factorize` for callers that match keys but
-    never look at key *values* (the join build side): it skips the Python
-    uniques and the first-occurrence remap.  Codes are dense per column
-    but the combined vector is not remapped, so code values are
-    order-of-magnitude ranks, not first-occurrence ranks.
-    """
-    encoded = [_encode_column(table.column(key)) for key in keys]
-    return _combine_codes(
-        [codes for codes, _, _, _ in encoded],
-        [n_codes for _, _, n_codes, _ in encoded],
-    )
-
-
 def factorize(table: "Table", keys: Sequence[str]) -> Factorization:
-    """Factorise the composite key over ``keys`` columns of ``table``."""
-    col_codes: list[np.ndarray] = []
-    col_uniques: list[list[object]] = []
-    for key in keys:
-        codes, uniques = factorize_column(table.column(key))
-        col_codes.append(codes)
-        col_uniques.append(uniques)
+    """Factorise the composite key over ``keys`` columns of ``table``.
 
-    combined = _combine_codes(col_codes, [len(u) for u in col_uniques])
-
-    if len(combined) == 0:
+    With no keys every row is in one group keyed ``()`` — SQL's aggregate
+    without GROUP BY — and that group exists even when there are no rows.
+    """
+    n_rows = len(table)
+    if not keys:
+        return Factorization(
+            np.zeros(n_rows, dtype=np.int64),
+            [()],
+            np.zeros(min(n_rows, 1), dtype=np.int64),
+        )
+    if n_rows == 0:
         return Factorization(
             np.empty(0, dtype=np.int64), [], np.empty(0, dtype=np.int64)
         )
 
+    encoded = [_encode_column(table.column(key)) for key in keys]
+    combined = _combine_codes(
+        [codes for codes, _, _, _ in encoded],
+        [n_codes for _, _, n_codes, _ in encoded],
+    )
     _, first_pos, inverse = np.unique(
         combined, return_index=True, return_inverse=True
     )
@@ -177,9 +148,9 @@ def factorize(table: "Table", keys: Sequence[str]) -> Factorization:
     rank[order] = np.arange(len(order))
     codes = rank[np.asarray(inverse, dtype=np.int64)]
     first_rows = np.asarray(first_pos, dtype=np.int64)[order]
-    group_keys = [
-        tuple(uniques[int(codes_c[row])]
-              for codes_c, uniques in zip(col_codes, col_uniques))
-        for row in first_rows
-    ]
+    # keys come from each group's first row, so a group holding both
+    # -0.0 and 0.0 is keyed by whichever zero it saw first
+    group_keys = list(
+        zip(*(table.column(key).take(first_rows).to_list() for key in keys))
+    )
     return Factorization(codes, group_keys, first_rows)

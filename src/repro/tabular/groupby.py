@@ -11,20 +11,30 @@ pairs, mirroring the named-aggregation style analysts already know::
 Supported functions: ``count`` (non-null), ``size`` (rows), ``sum``,
 ``mean``, ``min``, ``max``, ``std``, ``nunique``, ``first``, ``last``.
 
-Two kernel paths produce identical results:
+The key columns are factorised to dense group codes
+(:mod:`repro.tabular.factorize`) and every function is a numpy segment
+kernel over them — ``np.bincount`` for count/size, ``reduceat`` for
+integer sums and min/max, sorted-segment reductions elsewhere.  Float
+sum/mean/std reduce each group's values, in row order, with one
+``np.sum``/``np.mean``/``np.std`` call rather than ``bincount``
+accumulation, so a group's answer is exactly what numpy gives for that
+group alone (pairwise and sequential float summation disagree in the
+last ulp on large groups).
 
-* the **vectorised** path (default) factorises the key columns to dense
-  group codes (:mod:`repro.tabular.factorize`) and aggregates with numpy
-  segment kernels — ``np.bincount`` for count/size, ``reduceat`` for
-  integer sums and min/max, sorted-segment reductions elsewhere;
-* the **scalar** path — the original per-row ``AGGREGATORS`` — is kept as
-  the reference oracle and selected with ``REPRO_SCALAR_KERNELS=1``.
+Semantics, checked against the independent row-at-a-time reference in
+``tests/_kernel_reference.py`` over tables with nulls, NaN, ``±0.0``,
+``1e16``-scale floats, dates, bools and strings in keys and values:
 
-Float sum/mean/std deliberately reduce each group's segment with the very
-same ``np.sum``/``np.mean``/``np.std`` calls the oracle makes (rather than
-``bincount`` accumulation), so the fast path is bit-identical to the slow
-one: numpy's pairwise float summation and a sequential bincount disagree
-in the last ulp on large groups.
+* groups appear in first-occurrence order; a null key forms a ``None``
+  group; all NaN keys form one group; ``-0.0`` and ``0.0`` form one
+  group, keyed by whichever came first;
+* zero keys make one group over every row — SQL's aggregate without
+  GROUP BY — so a grand total has exactly one row, even over no rows;
+* ``count``/``sum``/``mean``/``std``/``min``/``max``/``nunique`` skip
+  nulls and give ``None`` (``0`` for counts) when a group has no value;
+  ``min``/``max`` propagate NaN; ``nunique`` counts NaN once and
+  ``±0.0`` once; ``first``/``last`` are the group's first/last row's
+  value, null included.
 """
 
 from __future__ import annotations
@@ -38,76 +48,22 @@ from repro.errors import ColumnNotFoundError, TabularError
 from repro.tabular.column import Column
 from repro.tabular.dtypes import DType
 from repro.serving.resilience import checkpoint
-from repro.tabular.factorize import (
-    Factorization,
-    factorize,
-    factorize_column,
-    scalar_kernels_enabled,
-)
+from repro.tabular.factorize import Factorization, factorize, factorize_column
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tabular.table import Table
 
 
-def _agg_count(col: Column, idx: np.ndarray) -> object:
-    return int(col.valid[idx].sum())
+#: the aggregation functions ``GroupBy.agg`` accepts
+FUNCTIONS = (
+    "count", "size", "sum", "mean", "min",
+    "max", "std", "nunique", "first", "last",
+)
 
-
-def _agg_size(col: Column, idx: np.ndarray) -> object:
-    return int(len(idx))
-
-
-def _agg_sum(col: Column, idx: np.ndarray) -> object:
-    return col.take(idx).sum()
-
-
-def _agg_mean(col: Column, idx: np.ndarray) -> object:
-    return col.take(idx).mean()
-
-
-def _agg_min(col: Column, idx: np.ndarray) -> object:
-    return col.take(idx).min()
-
-
-def _agg_max(col: Column, idx: np.ndarray) -> object:
-    return col.take(idx).max()
-
-
-def _agg_std(col: Column, idx: np.ndarray) -> object:
-    return col.take(idx).std()
-
-
-def _agg_nunique(col: Column, idx: np.ndarray) -> object:
-    return col.take(idx).n_unique()
-
-
-def _agg_first(col: Column, idx: np.ndarray) -> object:
-    return col.value(int(idx[0])) if len(idx) else None
-
-
-def _agg_last(col: Column, idx: np.ndarray) -> object:
-    return col.value(int(idx[-1])) if len(idx) else None
-
-
-#: groups (or rows) between cooperative cancellation checkpoints in the
-#: per-group Python loops — coarse enough to be free, fine enough that a
-#: timed-out query stops within a few hundred numpy calls
+#: groups between cooperative cancellation checkpoints in the per-group
+#: Python loops — coarse enough to be free, fine enough that a timed-out
+#: query stops within a few hundred numpy calls
 CHECK_EVERY_GROUPS = 256
-CHECK_EVERY_ROWS = 4096
-
-#: Scalar reference kernels — the parity oracle for the vectorised path.
-AGGREGATORS: dict[str, Callable[[Column, np.ndarray], object]] = {
-    "count": _agg_count,
-    "size": _agg_size,
-    "sum": _agg_sum,
-    "mean": _agg_mean,
-    "min": _agg_min,
-    "max": _agg_max,
-    "std": _agg_std,
-    "nunique": _agg_nunique,
-    "first": _agg_first,
-    "last": _agg_last,
-}
 
 
 class _GroupedColumn:
@@ -323,12 +279,17 @@ class _VectorEngine:
         return [int(c) for c in counts]
 
     def first(self, column: Column) -> list[object]:
-        return [column.value(int(r)) for r in self.fact.first_rows]
+        if not len(self.codes):
+            return [None] * self.n_groups  # the zero-key group over no rows
+        return column.take(self.fact.first_rows).to_list()
 
     def last(self, column: Column) -> list[object]:
-        groups = np.arange(self.n_groups)
-        ends = np.searchsorted(self.sorted_codes, groups, side="right")
-        return [column.value(int(self.order[e - 1])) for e in ends]
+        if not len(self.codes):
+            return [None] * self.n_groups
+        ends = np.searchsorted(
+            self.sorted_codes, np.arange(self.n_groups), side="right"
+        )
+        return column.take(self.order[ends - 1]).to_list()
 
 
 class GroupBy:
@@ -337,20 +298,18 @@ class GroupBy:
     Groups appear in order of first occurrence, keeping results stable and
     deterministic.  Rows whose key tuple contains a null still form a group
     keyed by ``None`` — clinical data is full of partially-known records and
-    silently dropping them would bias counts.
+    silently dropping them would bias counts.  With no keys the whole
+    table is one group (a grand total).
 
     The factorisation of the key columns is computed once per ``GroupBy``
-    and shared across ``groups()``/``agg()`` calls, so repeated
-    aggregations over the same keys (the OLAP cube's access pattern) pay
-    the grouping cost once.  The lazy caches are deterministic and
-    assigned whole, so concurrent readers sharing one ``GroupBy`` (the
-    epoch-cached cube path) can at worst duplicate the factorisation,
-    never corrupt it.
+    and shared across ``agg()`` calls, so repeated aggregations over the
+    same keys (the OLAP cube's access pattern) pay the grouping cost once.
+    The lazy caches are deterministic and assigned whole, so concurrent
+    readers sharing one ``GroupBy`` (the epoch-cached cube path) can at
+    worst duplicate the factorisation, never corrupt it.
     """
 
     def __init__(self, table: "Table", keys: list[str]):
-        if not keys:
-            raise TabularError("groupby requires at least one key column")
         for key in keys:
             if key not in table:
                 raise ColumnNotFoundError(key, table.column_names)
@@ -377,25 +336,14 @@ class GroupBy:
             self._engine = _VectorEngine(self.factorization())
         return self._engine
 
-    def groups(self) -> dict[tuple, np.ndarray]:
-        """Key tuple → row-index array, in first-occurrence order."""
-        if scalar_kernels_enabled():
-            return self._groups_scalar()
-        fact = self.factorization()
-        return dict(zip(fact.group_keys, fact.group_rows()))
-
-    def _groups_scalar(self) -> dict[tuple, np.ndarray]:
-        key_lists = [self.table.column(k).to_list() for k in self.keys]
-        buckets: dict[tuple, list[int]] = {}
-        for i in range(len(self.table)):
-            if i % CHECK_EVERY_ROWS == 0:
-                checkpoint()
-            key = tuple(values[i] for values in key_lists)
-            buckets.setdefault(key, []).append(i)
-        return {k: np.array(v, dtype=np.int64) for k, v in buckets.items()}
-
     def agg(self, **named: tuple[str, str]) -> "Table":
-        """Aggregate each group; returns key columns plus one per request."""
+        """Aggregate each group; returns key columns plus one per request.
+
+        The output schema is explicit: counts are ``int``, ``mean``/``std``
+        are ``float`` and every other function keeps its input column's
+        type, so all-null cells (a sum over an all-null measure, a grand
+        total over no rows) never degrade to inferred ``str``.
+        """
         from repro.tabular.table import Table
 
         if not named:
@@ -408,87 +356,40 @@ class GroupBy:
                     f"got {spec!r}"
                 )
             in_name, func_name = spec
-            if func_name not in AGGREGATORS:
+            if func_name not in FUNCTIONS:
                 raise TabularError(
                     f"unknown aggregation {func_name!r} "
-                    f"(valid: {', '.join(sorted(AGGREGATORS))})"
+                    f"(valid: {', '.join(sorted(FUNCTIONS))})"
                 )
             self.table.column(in_name)  # raise early if absent
             plans.append((out_name, in_name, func_name))
 
-        path = "scalar" if scalar_kernels_enabled() else "vector"
-        obs.count(f"tabular.groupby.path.{path}")
         with obs.span(
             "groupby.agg",
             keys=",".join(self.keys),
-            path=path,
             rows=len(self.table),
             aggs=len(plans),
         ):
-            if path == "scalar":
-                group_keys, results = self._aggregate_scalar(plans)
-            else:
-                group_keys, results = self._aggregate_vector(plans)
-
-        # Explicit output schema: dtype follows the function/input column, so
-        # all-null cells (e.g. a sum over an all-null measure) keep the input
-        # type instead of degrading to inferred str.
-        schema: dict[str, object] = {
-            key: self.table.schema[key] for key in self.keys
-        }
-        for out_name, in_name, func_name in plans:
-            if func_name in ("count", "size", "nunique"):
-                schema[out_name] = "int"
-            elif func_name in ("mean", "std"):
-                schema[out_name] = "float"
-            else:
-                schema[out_name] = self.table.schema[in_name]
-
-        rows: list[dict[str, object]] = []
-        for g, key in enumerate(group_keys):
-            row: dict[str, object] = dict(zip(self.keys, key))
-            for out_name, _, _ in plans:
-                row[out_name] = results[out_name][g]
-            rows.append(row)
-        if rows:
-            return Table.from_rows(rows, schema=schema)
-        # Empty input: preserve the schema so downstream sorts/selects work.
-        return Table.empty(schema)
-
-    def _aggregate_scalar(
-        self, plans: list[tuple[str, str, str]]
-    ) -> tuple[list[tuple], dict[str, list[object]]]:
-        grouped = self._groups_scalar()
-        results: dict[str, list[object]] = {out: [] for out, _, _ in plans}
-        for g, idx in enumerate(grouped.values()):
-            if g % CHECK_EVERY_GROUPS == 0:
-                checkpoint()
+            engine = self._vector_engine()
+            columns: dict[str, Column] = {
+                key: self.table.column(key).take(engine.fact.first_rows)
+                for key in self.keys
+            }
             for out_name, in_name, func_name in plans:
-                results[out_name].append(
-                    AGGREGATORS[func_name](self.table.column(in_name), idx)
+                checkpoint()  # between plan kernels: each is one hot segment pass
+                source = self.table.column(in_name)
+                if func_name in ("count", "size", "nunique"):
+                    dtype = DType.INT
+                elif func_name in ("mean", "std"):
+                    dtype = DType.FLOAT
+                else:
+                    dtype = source.dtype
+                columns[out_name] = Column.from_values(
+                    getattr(engine, func_name)(source), dtype=dtype
                 )
-        return list(grouped), results
-
-    def _aggregate_vector(
-        self, plans: list[tuple[str, str, str]]
-    ) -> tuple[list[tuple], dict[str, list[object]]]:
-        fact = self.factorization()
-        if fact.n_groups == 0:
-            return [], {out: [] for out, _, _ in plans}
-        engine = self._vector_engine()
-        results: dict[str, list[object]] = {}
-        for out_name, in_name, func_name in plans:
-            checkpoint()  # between plan kernels: each is one hot segment pass
-            kernel = getattr(engine, func_name)
-            results[out_name] = kernel(self.table.column(in_name))
-        return fact.group_keys, results
+        return Table(columns)
 
     def size(self) -> "Table":
         """Shorthand for a single row-count aggregation named ``size``."""
-        return self.agg(size=(self.keys[0], "size"))
-
-    def apply(self, func) -> dict[tuple, object]:
-        """Run ``func(sub_table)`` per group; returns key → result."""
-        return {
-            key: func(self.table.take(idx)) for key, idx in self.groups().items()
-        }
+        anchor = self.keys[0] if self.keys else self.table.column_names[0]
+        return self.agg(size=(anchor, "size"))

@@ -15,7 +15,7 @@ from repro.errors import (
 from repro.tabular.column import Column
 from repro.tabular.dtypes import DType
 from repro.tabular.expressions import Expression
-from repro.tabular.factorize import factorize, scalar_kernels_enabled
+from repro.tabular.factorize import factorize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tabular.groupby import GroupBy
@@ -347,16 +347,6 @@ class Table:
         keys = list(names) if names else self.column_names
         if not keys:
             return self  # zero-column table: nothing to deduplicate
-        if scalar_kernels_enabled():
-            lists = [self.column(k).to_list() for k in keys]
-            seen: set[tuple] = set()
-            indices = []
-            for i in range(self._length):
-                key = tuple(values[i] for values in lists)
-                if key not in seen:
-                    seen.add(key)
-                    indices.append(i)
-            return self.take(np.array(indices, dtype=np.int64))
         # first-occurrence rows come out of factorisation already ascending
         return self.take(factorize(self, keys).first_rows)
 

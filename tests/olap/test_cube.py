@@ -109,6 +109,15 @@ class TestAggregate:
         assert total["n"] == 4
         assert total["m"] == pytest.approx(6.5)
 
+    def test_grand_total_over_no_rows_keeps_measure_dtypes(self, small_cube):
+        result = small_cube.aggregate(
+            [],
+            {"m": ("fbg", "mean"), "hi": ("fbg", "max"), "n": ("records", "size")},
+            filters=col("personal.gender").eq("nobody"),
+        )
+        assert result.to_rows() == [{"m": None, "hi": None, "n": 0}]
+        assert result.schema == {"m": "float", "hi": "float", "n": "int"}
+
     def test_cube_totals_match_flat_scan(self, small_cube):
         """Core OLAP invariant: cell counts sum to the unfiltered total."""
         table = small_cube.aggregate(["personal.gender", "personal.band"])

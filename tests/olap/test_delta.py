@@ -13,7 +13,7 @@ answer-correctness bugs this change fixed:
 
 All data here uses exactly-representable measure values (integer halves),
 so delta-folded statistics are *bit-identical* to a full rebuild — the
-contract the parity oracle enforces on both kernel paths.
+contract the parity oracle enforces.
 """
 
 import pytest
@@ -22,7 +22,7 @@ from repro.errors import OLAPError
 from repro.olap.cube import Cube
 from repro.olap.delta import delta_node_table, merge_node_tables
 from repro.olap.materialized import MaterializedCube
-from repro.tabular import Table
+from repro.tabular import DType, Table
 from repro.tabular.expressions import col
 from repro.warehouse.dimension import Dimension
 from repro.warehouse.fact import Measure
@@ -64,21 +64,12 @@ def _flat(rows):
     return Cube(loader.schema).flat
 
 
-@pytest.fixture(params=["vector", "scalar"])
-def kernels(request, monkeypatch):
-    if request.param == "scalar":
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
-    else:
-        monkeypatch.delenv("REPRO_SCALAR_KERNELS", raising=False)
-    return request.param
-
-
 LEVELS = ["d.g", "d.band"]
 MEASURES = ["v"]
 
 
 class TestDeltaAlgebra:
-    def test_merge_is_bit_identical_to_full_rebuild(self, kernels):
+    def test_merge_is_bit_identical_to_full_rebuild(self):
         full = delta_node_table(
             _flat(OLD_ROWS + DELTA_ROWS), LEVELS, MEASURES
         ).sort_by(*LEVELS)  # merge re-sorts by levels, as node builds do
@@ -203,7 +194,12 @@ class TestEpochGuardRegression:
 
 
 class TestEmptyGrandTotalRegression:
-    """A filter eliminating every cell yields the base cube's null row."""
+    """A filter eliminating every cell yields the base cube's null row.
+
+    Both sides keep their types: counts stay ``int`` and a ``mean``/
+    ``min``/``max`` over the float measure stays ``float``, not the
+    ``str`` a schema inferred from an all-null row would give.
+    """
 
     @pytest.mark.parametrize("agg", [
         {"n": ("records", "size")},
@@ -211,7 +207,7 @@ class TestEmptyGrandTotalRegression:
         {"lo": ("v", "min"), "hi": ("v", "max")},
         {"m": ("v", "mean")},
     ])
-    def test_all_filtered_grand_total_matches_base(self, agg, kernels):
+    def test_all_filtered_grand_total_matches_base(self, agg):
         loader = _loader(OLD_ROWS)
         cube = Cube(loader.schema, managed=True)
         cube.publish()
@@ -220,12 +216,14 @@ class TestEmptyGrandTotalRegression:
         got = lattice.aggregate([], agg, filters=nobody)
         base = cube.aggregate([], agg, filters=nobody)
         assert got.to_rows() == base.to_rows()
+        assert got.schema == base.schema
+        for out, (_, func) in agg.items():
+            if func in ("mean", "min", "max"):
+                assert base.schema[out] is DType.FLOAT
 
 
 class TestFoldAndRetag:
-    def test_fold_delta_is_bit_identical_to_fresh_materialization(
-        self, kernels
-    ):
+    def test_fold_delta_is_bit_identical_to_fresh_materialization(self):
         loader = _loader(OLD_ROWS)
         cube = Cube(loader.schema, managed=True)
         cube.publish()

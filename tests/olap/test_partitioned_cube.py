@@ -48,15 +48,6 @@ def _clean_plan():
     faults.uninstall()
 
 
-@pytest.fixture(params=["vector", "scalar"])
-def kernels(request, monkeypatch):
-    if request.param == "scalar":
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
-    else:
-        monkeypatch.delenv("REPRO_SCALAR_KERNELS", raising=False)
-    return request.param
-
-
 def _loader(rows):
     loader = WarehouseLoader(
         "m", "f",
@@ -83,7 +74,7 @@ AGGS = {"n": ("records", "size"), "mean_v": ("v", "mean"), "max_v": ("v", "max")
 
 
 class TestStoreBackedAnswers:
-    def test_aggregate_matches_flat_cube(self, kernels):
+    def test_aggregate_matches_flat_cube(self):
         plain = _cube(OLD_ROWS)
         stored = _cube(OLD_ROWS, STORAGE)
         assert stored._state.store is not None
@@ -105,7 +96,7 @@ class TestStoreBackedAnswers:
 
 
 class TestDeltaPublishing:
-    def test_publish_delta_appends_segments(self, kernels):
+    def test_publish_delta_appends_segments(self):
         loader = _loader(OLD_ROWS)
         cube = Cube(loader.schema, managed=True)
         cube.attach_storage(STORAGE)
@@ -123,7 +114,7 @@ class TestDeltaPublishing:
         rebuilt = _cube(OLD_ROWS + DELTA_ROWS, STORAGE)
         assert cube.aggregate(LEVELS, AGGS).equals(rebuilt.aggregate(LEVELS, AGGS))
 
-    def test_delta_then_compact_preserves_answers(self, kernels):
+    def test_delta_then_compact_preserves_answers(self):
         loader = _loader(OLD_ROWS)
         cube = Cube(loader.schema, managed=True)
         cube.attach_storage(STORAGE)

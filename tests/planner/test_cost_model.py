@@ -149,7 +149,7 @@ def _run_mix(cube):
 
 
 class TestColdIsLegacy:
-    def test_cold_planner_is_counter_identical_to_no_planner(self, kernels):
+    def test_cold_planner_is_counter_identical_to_no_planner(self):
         rows = default_rows(48)
         with_planner = build_cube(rows)
         without = build_cube(rows)

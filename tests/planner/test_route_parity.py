@@ -3,17 +3,14 @@
 The planner may answer a covered query three ways — the exact/finer
 materialized node, a partial rollup from a coarser-grained query over
 that node, or a (possibly re-routed) base scan.  Whatever it picks must
-be **byte-identical** to the un-planned base-scan oracle, on both
-kernel paths.  Hypothesis drives random tables, grouping sets,
-aggregation mixes and predicates through all three routes; each route
-is forced via injected calibrations so the property genuinely exercises
-the router rather than whatever the timings happen to prefer.
+be **byte-identical** to the un-planned base-scan oracle.  Hypothesis
+drives random tables, grouping sets (the empty one, a grand total,
+included), aggregation mixes and predicates through all three routes;
+each route is forced via injected calibrations so the property genuinely
+exercises the router rather than whatever the timings happen to prefer.
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -34,22 +31,6 @@ AGG_CHOICES = {
     "v_mean": ("v", "mean"),
     "v_count": ("v", "count"),
 }
-
-
-@contextmanager
-def kernel_env(scalar: bool):
-    previous = os.environ.get("REPRO_SCALAR_KERNELS")
-    if scalar:
-        os.environ["REPRO_SCALAR_KERNELS"] = "1"
-    else:
-        os.environ.pop("REPRO_SCALAR_KERNELS", None)
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SCALAR_KERNELS", None)
-        else:
-            os.environ["REPRO_SCALAR_KERNELS"] = previous
 
 
 @st.composite
@@ -74,7 +55,7 @@ def cases(draw):
         for _ in range(n)
     ]
     levels = draw(
-        st.lists(st.sampled_from(LEVELS), unique=True, min_size=1, max_size=3)
+        st.lists(st.sampled_from(LEVELS), unique=True, max_size=3)
     )
     names = draw(
         st.lists(
@@ -122,14 +103,12 @@ def _run_route(rows, levels, aggregations, predicate, cheap):
 def test_node_route_matches_base_oracle(case):
     """Node answers (exact hits and partial rollups) are byte-identical."""
     rows, levels, aggregations, predicate = case
-    for scalar in (False, True):
-        with kernel_env(scalar):
-            routed, oracle, lattice = _run_route(
-                rows, levels, aggregations, predicate, cheap="node"
-            )
-            assert routed.equals(oracle), f"scalar={scalar}"
-            # the cheap-node calibration must actually keep the lattice route
-            assert lattice.stats.exact_hits + lattice.stats.rollup_hits == 1
+    routed, oracle, lattice = _run_route(
+        rows, levels, aggregations, predicate, cheap="node"
+    )
+    assert routed.equals(oracle)
+    # the cheap-node calibration must actually keep the lattice route
+    assert lattice.stats.exact_hits + lattice.stats.rollup_hits == 1
 
 
 @given(cases())
@@ -137,14 +116,12 @@ def test_node_route_matches_base_oracle(case):
 def test_planner_reroute_matches_base_oracle(case):
     """Cost re-routes to the base scan answer exactly like the oracle."""
     rows, levels, aggregations, predicate = case
-    for scalar in (False, True):
-        with kernel_env(scalar):
-            routed, oracle, lattice = _run_route(
-                rows, levels, aggregations, predicate, cheap="base"
-            )
-            assert routed.equals(oracle), f"scalar={scalar}"
-            # the cheap-base calibration must actually force the re-route
-            assert lattice.stats.fallbacks == 1
+    routed, oracle, lattice = _run_route(
+        rows, levels, aggregations, predicate, cheap="base"
+    )
+    assert routed.equals(oracle)
+    # the cheap-base calibration must actually force the re-route
+    assert lattice.stats.fallbacks == 1
 
 
 @given(cases())
@@ -155,33 +132,14 @@ def test_partial_rollup_from_coarser_node(case):
     # force the rollup case: materialize only the full-grain node and
     # query a strict subset of its levels
     sub_levels = levels[:-1] if len(levels) > 1 else levels
-    for scalar in (False, True):
-        with kernel_env(scalar):
-            cube = build_cube(rows)
-            lattice = MaterializedCube(cube).materialize([list(LEVELS)])
-            cube.attach_lattice(lattice)
-            planner = QueryPlanner()
-            calibrate(planner, cheap="node")
-            cube.attach_planner(planner)
-            routed = cube.aggregate(
-                sub_levels, aggregations, filters=_filters(predicate)
-            )
-            oracle = base_scan(
-                cube, sub_levels, aggregations, filters=_filters(predicate)
-            )
-            assert routed.equals(oracle), f"scalar={scalar}"
-
-
-@given(cases())
-@settings(max_examples=20, deadline=None)
-def test_kernel_paths_agree_on_routed_answers(case):
-    """The same routed query is byte-identical across kernel builds."""
-    rows, levels, aggregations, predicate = case
-    results = []
-    for scalar in (False, True):
-        with kernel_env(scalar):
-            routed, _oracle, _lattice = _run_route(
-                rows, levels, aggregations, predicate, cheap="node"
-            )
-            results.append(routed)
-    assert results[0].equals(results[1])
+    cube = build_cube(rows)
+    lattice = MaterializedCube(cube).materialize([list(LEVELS)])
+    cube.attach_lattice(lattice)
+    planner = QueryPlanner()
+    calibrate(planner, cheap="node")
+    cube.attach_planner(planner)
+    routed = cube.aggregate(sub_levels, aggregations, filters=_filters(predicate))
+    oracle = base_scan(
+        cube, sub_levels, aggregations, filters=_filters(predicate)
+    )
+    assert routed.equals(oracle)

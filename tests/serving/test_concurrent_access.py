@@ -13,14 +13,11 @@ snapshot of every epoch it publishes, readers record the epoch they
 pinned with each answer, and after the threads join every observation is
 recomputed on its epoch's snapshot and compared row for row.
 
-Both kernel paths run (the scalar oracle via ``REPRO_SCALAR_KERNELS``),
-and the versioned result cache is attached throughout — so cache hits
-are subject to the same exact-equality check as fresh computations.
+The versioned result cache is attached throughout — so cache hits are
+subject to the same exact-equality check as fresh computations.
 """
 
 import threading
-
-import pytest
 
 from repro.dgms.system import DDDGMS
 from repro.discri.generator import DiScRiGenerator, offset_identifiers
@@ -45,13 +42,7 @@ def _builder(tag: str) -> FeedbackDimensionBuilder:
     )
 
 
-@pytest.mark.parametrize("kernels", ["vector", "scalar"])
-def test_readers_vs_live_writer(monkeypatch, kernels):
-    if kernels == "scalar":
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
-    else:
-        monkeypatch.delenv("REPRO_SCALAR_KERNELS", raising=False)
-
+def test_readers_vs_live_writer():
     cohort = DiScRiGenerator(n_patients=40, seed=11).generate()
     system = DDDGMS(cohort)
     system.attach_result_cache(True)

@@ -1,7 +1,7 @@
-"""Cancelling work on the serial query paths: group-by/join kernels,
-lattice builds and partition scans observe an expired or cancelled
-deadline at their checkpoints, raise the typed error, and leave no torn
-state behind — on both kernel paths."""
+"""Cancelling work on the serial query paths: group-by kernels, lattice
+builds and partition scans observe an expired or cancelled deadline at
+their checkpoints, raise the typed error, and leave no torn state
+behind."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.serving.resilience import Deadline, deadline_scope
 from repro.storage.columnar import PartitionedStore, PartitioningSpec, StorageConfig
 from repro.tabular.expressions import col
-from repro.tabular.join import hash_join
 from repro.tabular.table import Table
 
 
@@ -32,17 +31,8 @@ def _cancelled(reason: str = "caller gave up") -> Deadline:
     return deadline
 
 
-@pytest.fixture(params=["vector", "scalar"])
-def kernel_path(request, monkeypatch):
-    if request.param == "scalar":
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
-    else:
-        monkeypatch.delenv("REPRO_SCALAR_KERNELS", raising=False)
-    return request.param
-
-
 class TestKernelCancellation:
-    def test_groupby_observes_an_expired_deadline(self, kernel_path):
+    def test_groupby_observes_an_expired_deadline(self):
         frame = _frame()
         with deadline_scope(Deadline(0.0)):
             with pytest.raises(QueryTimeoutError):
@@ -52,20 +42,11 @@ class TestKernelCancellation:
         result = frame.groupby("k").agg(total=("v", "sum"))
         assert result.num_rows == 50
 
-    def test_groupby_observes_a_cancelled_query(self, kernel_path):
+    def test_groupby_observes_a_cancelled_query(self):
         frame = _frame()
         with deadline_scope(_cancelled("epoch retired")):
             with pytest.raises(QueryCancelledError):
                 frame.groupby("k").agg(total=("v", "sum"))
-
-    def test_join_observes_an_expired_deadline(self, kernel_path):
-        left = _frame(5_000)
-        right = _frame(5_000).rename({"v": "w"})
-        with deadline_scope(Deadline(0.0)):
-            with pytest.raises(QueryTimeoutError):
-                hash_join(left, right, on="k")
-        joined = hash_join(left.head(100), right.head(100), on="k")
-        assert joined.num_rows > 0
 
 
 class TestLatticeBuildCancellation:

@@ -4,36 +4,20 @@ Two invariants the partitioned store must never violate, searched with
 hypothesis:
 
 * a pruned, partition-fanned scan is **byte-identical** to filtering the
-  flat view — for random tables and random predicate trees, on both
-  kernel paths (vectorised and scalar oracle);
+  flat view — for random tables and random predicate trees;
 * every encoding decodes back to the exact bytes it was given —
   including nulls, empty columns, and date payloads.
 """
 
 import datetime as dt
-import os
-from contextlib import contextmanager
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.storage.columnar import PartitionedStore, PartitioningSpec, StorageConfig
 from repro.storage.columnar.encodings import encode_column
-from repro.tabular import SCALAR_KERNELS_ENV, Table, col
+from repro.tabular import Table, col
 from repro.tabular.column import Column
-
-
-@contextmanager
-def scalar_kernels():
-    previous = os.environ.get(SCALAR_KERNELS_ENV)
-    os.environ[SCALAR_KERNELS_ENV] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(SCALAR_KERNELS_ENV, None)
-        else:
-            os.environ[SCALAR_KERNELS_ENV] = previous
 
 
 def columns_byte_equal(a: Column, b: Column) -> bool:
@@ -139,16 +123,6 @@ def test_pruned_scan_byte_equals_full_scan(table, predicate):
     got, stats = store.scan_filter(predicate)
     assert tables_byte_equal(got, expected), predicate.describe()
     assert stats.segments_scanned + stats.segments_pruned == stats.segments_total
-
-
-@given(cohort_tables(), predicates())
-@settings(max_examples=30, deadline=None)
-def test_pruned_scan_byte_equals_full_scan_scalar_kernels(table, predicate):
-    store = PartitionedStore.build(table, CONFIG)
-    with scalar_kernels():
-        expected = table.filter(predicate)
-        got, _ = store.scan_filter(predicate)
-    assert tables_byte_equal(got, expected), predicate.describe()
 
 
 @given(cohort_tables(), predicates())

@@ -99,7 +99,7 @@ class TestBuild:
 
 class TestScanParity:
     @pytest.mark.parametrize("predicate", PREDICATES, ids=[p.describe() for p in PREDICATES])
-    def test_pruned_scan_byte_equals_flat_filter(self, store, predicate, kernel_mode):
+    def test_pruned_scan_byte_equals_flat_filter(self, store, predicate):
         flat = make_table()
         expected = flat.filter(predicate)
         got, stats = store.scan_filter(predicate)

@@ -70,15 +70,18 @@ class TestFactorizeKeys:
         assert fact.codes.tolist() == [0, 0, 1, 2, 3]
         assert fact.n_groups == 4
 
-    def test_group_rows_ascending(self, table):
-        fact = factorize(table, ["g"])
-        rows = fact.group_rows()
-        assert [r.tolist() for r in rows] == [[0, 1, 3], [2], [4]]
-
     def test_empty_table(self):
         table = Table.empty({"k": "str"})
         fact = factorize(table, ["k"])
         assert fact.n_groups == 0 and len(fact.codes) == 0
+
+    def test_no_keys_is_one_group_even_over_no_rows(self, table):
+        fact = factorize(table, [])
+        assert fact.group_keys == [()] and fact.codes.tolist() == [0] * 5
+        assert fact.first_rows.tolist() == [0]
+        empty = factorize(table.head(0), [])
+        assert empty.group_keys == [()] and len(empty.codes) == 0
+        assert len(empty.first_rows) == 0
 
     def test_high_cardinality_radix_compression(self):
         # many wide int keys force the mixed-radix overflow guard

@@ -1,174 +1,247 @@
-"""Property suite: the vectorised kernels ≡ the scalar parity oracle.
+"""Property suite: the group-by kernels ≡ the row-at-a-time reference.
 
-Every supported aggregation function, over random tables with nulls in
-both the keys and the values, must produce cell-for-cell identical output
-on both kernel paths — including float cells, since the vector path
-reduces each group's segment with the same numpy calls the oracle makes.
-Same contract for ``groups()``, ``hash_join`` and ``Table.distinct``.
+``tests/_kernel_reference.py`` evaluates group-by and distinct over plain
+Python lists and imports nothing from ``repro``.  Every supported
+aggregation function, over random tables with nulls, NaN, ``±0.0``,
+``1e16``-scale floats, dates, bools and strings in both the keys and the
+values — zero keys and empty tables included — must produce the
+reference's schema and cells: bit for bit for float ``sum``/``mean``/
+``std``, since both reduce the group's values in row order with one
+numpy call.  Same contract for the factorisation behind the groups and
+for ``Table.distinct``.
+
+The deterministic cases below pin the key and value semantics in both
+the kernels and the reference, so neither can drift on its own.
 """
 
-import os
-from contextlib import contextmanager
+import datetime as dt
+import math
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from repro.tabular import SCALAR_KERNELS_ENV, Table, hash_join
-from repro.tabular.groupby import AGGREGATORS
+from repro.tabular import Table
+from tests import _kernel_reference as ref
 
+NAN = math.nan
 
-@contextmanager
-def scalar_kernels():
-    previous = os.environ.get(SCALAR_KERNELS_ENV)
-    os.environ[SCALAR_KERNELS_ENV] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(SCALAR_KERNELS_ENV, None)
-        else:
-            os.environ[SCALAR_KERNELS_ENV] = previous
+SPECIAL_FLOATS = [0.0, -0.0, NAN, 1e16, -1e16, 1e16 + 2.0, 0.1, 2.5]
 
-
-def _column(draw, n, values):
-    return draw(st.lists(values, min_size=n, max_size=n))
-
-
-@st.composite
-def tables(draw):
-    n = draw(st.integers(0, 50))
-    data = {
-        "k_str": _column(draw, n, st.one_of(st.none(), st.sampled_from("abc"))),
-        "k_int": _column(draw, n, st.one_of(st.none(), st.integers(0, 3))),
-        "x": _column(
-            draw, n,
-            st.one_of(st.none(), st.floats(-50, 50, allow_nan=False)),
+#: name -> (dtype, value strategy); every column may be a key and a value
+COLUMNS = {
+    "k_str": ("str", st.sampled_from(["a", "b", "c"])),
+    "k_int": ("int", st.integers(0, 3)),
+    "k_float": ("float", st.sampled_from([0.0, -0.0, NAN, 1.5])),
+    "k_bool": ("bool", st.booleans()),
+    "k_date": (
+        "date",
+        st.sampled_from([dt.date(2001, 1, 1), dt.date(1999, 12, 31)]),
+    ),
+    "x": (
+        "float",
+        st.one_of(
+            st.floats(-1e16, 1e16, allow_nan=False),
+            st.sampled_from(SPECIAL_FLOATS),
         ),
-        "m": _column(draw, n, st.one_of(st.none(), st.integers(-9, 9))),
-    }
-    return Table.from_columns(
-        data,
-        schema={"k_str": "str", "k_int": "int", "x": "float", "m": "int"},
-    )
-
-
-ALL_FUNCS = sorted(AGGREGATORS)
-
-
-def _assert_tables_identical(got: Table, expected: Table):
-    assert got.column_names == expected.column_names
-    assert got.schema == expected.schema
-    assert got.to_rows() == expected.to_rows()
-
-
-@given(tables())
-@settings(max_examples=60, deadline=None)
-def test_agg_matches_scalar_oracle_for_every_function(table):
-    aggs = {f"x_{f}": ("x", f) for f in ALL_FUNCS}
-    aggs.update({f"m_{f}": ("m", f) for f in ALL_FUNCS})
-    aggs.update({f"k_{f}": ("k_str", f) for f in ("count", "min", "max", "nunique")})
-    vec = table.groupby("k_str", "k_int").agg(**aggs)
-    with scalar_kernels():
-        ref = table.groupby("k_str", "k_int").agg(**aggs)
-    _assert_tables_identical(vec, ref)
-
-
-@given(tables())
-@settings(max_examples=40, deadline=None)
-def test_groups_match_scalar_oracle(table):
-    vec = table.groupby("k_str", "k_int").groups()
-    with scalar_kernels():
-        ref = table.groupby("k_str", "k_int").groups()
-    assert list(vec) == list(ref)
-    for key, rows in ref.items():
-        assert vec[key].tolist() == rows.tolist()
-
-
-@given(tables())
-@settings(max_examples=40, deadline=None)
-def test_distinct_matches_scalar_oracle(table):
-    vec = table.distinct("k_str", "k_int")
-    with scalar_kernels():
-        ref = table.distinct("k_str", "k_int")
-    _assert_tables_identical(vec, ref)
+    ),
+    "m": ("int", st.integers(-10**6, 10**6)),
+    "s": ("str", st.text(alphabet="abé", max_size=3)),
+    "d": ("date", st.dates(dt.date(1990, 1, 1), dt.date(2030, 12, 31))),
+}
+DTYPES = {name: dtype for name, (dtype, _) in COLUMNS.items()}
 
 
 @st.composite
-def join_inputs(draw):
-    def side(n):
-        return {
-            "k_str": _column(
-                draw, n, st.one_of(st.none(), st.sampled_from("abc"))
-            ),
-            "k_int": _column(draw, n, st.one_of(st.none(), st.integers(0, 2))),
-            "payload": _column(draw, n, st.integers(0, 99)),
+def tables(draw, max_keys=3):
+    n = draw(st.integers(0, 40))
+    columns = {
+        name: draw(
+            st.lists(st.one_of(st.none(), values), min_size=n, max_size=n)
+        )
+        for name, (_, values) in COLUMNS.items()
+    }
+    keys = draw(
+        st.lists(st.sampled_from(sorted(COLUMNS)), unique=True, max_size=max_keys)
+    )
+    return columns, keys, n
+
+
+def _table(columns) -> Table:
+    return Table.from_columns(columns, schema=DTYPES)
+
+
+def _every_spec() -> dict[str, tuple[str, str]]:
+    return {
+        f"{name}_{function}": (name, function)
+        for name, dtype in DTYPES.items()
+        for function in ref.FUNCTIONS
+        if dtype in ("int", "float") or function not in ref.NUMERIC_ONLY
+    }
+
+
+def _canonical_rows(rows, specs) -> list[dict]:
+    """Rows in comparable form; min/max cells ignore the sign of zero."""
+    extremes = {
+        out for out, (_, function) in specs.items() if function in ("min", "max")
+    }
+    return [
+        {
+            name: ref.canonical(value, signed_zero=name not in extremes)
+            for name, value in row.items()
         }
-
-    left = Table.from_columns(
-        side(draw(st.integers(0, 25))),
-        schema={"k_str": "str", "k_int": "int", "payload": "int"},
-    )
-    right = Table.from_columns(
-        side(draw(st.integers(0, 25))),
-        schema={"k_str": "str", "k_int": "int", "payload": "int"},
-    )
-    how = draw(st.sampled_from(["inner", "left"]))
-    return left, right, how
+        for row in rows
+    ]
 
 
-@given(join_inputs())
+def _assert_agg_matches_reference(columns, keys, n, specs):
+    got = _table(columns).groupby(*keys).agg(**specs)
+    rows, schema = ref.agg(columns, DTYPES, keys, specs, n)
+    assert got.schema == schema
+    assert _canonical_rows(got.to_rows(), specs) == _canonical_rows(rows, specs)
+
+
+@given(tables())
+@settings(max_examples=120, deadline=None)
+def test_agg_matches_scalar_oracle_for_every_function(drawn):
+    columns, keys, n = drawn
+    _assert_agg_matches_reference(columns, keys, n, _every_spec())
+
+
+@given(tables(max_keys=0))
+@settings(max_examples=40, deadline=None)
+def test_grand_total_matches_reference(drawn):
+    """Zero keys: exactly one row, also over an empty table."""
+    columns, keys, n = drawn
+    specs = _every_spec()
+    _assert_agg_matches_reference(columns, keys, n, specs)
+    assert _table(columns).groupby().agg(**specs).num_rows == 1
+
+
+@given(tables())
+@settings(max_examples=40, deadline=None)
+def test_factorization_matches_scalar_oracle(drawn):
+    columns, keys, n = drawn
+    fact = _table(columns).groupby(*keys).factorization()
+    expected = ref.groups(columns, keys, n)
+    assert [ref.canonical(k) for key in fact.group_keys for k in key] == [
+        ref.canonical(k) for key, _ in expected for k in key
+    ]
+    codes = fact.codes.tolist()
+    for code, (_, positions) in enumerate(expected):
+        assert [codes[i] for i in positions] == [code] * len(positions)
+    assert len(codes) == n
+
+
+@given(tables())
 @settings(max_examples=60, deadline=None)
-def test_hash_join_matches_scalar_oracle(inputs):
-    left, right, how = inputs
-    vec = hash_join(left, right, on=["k_str", "k_int"], how=how)
-    with scalar_kernels():
-        ref = hash_join(left, right, on=["k_str", "k_int"], how=how)
-    _assert_tables_identical(vec, ref)
+def test_distinct_matches_scalar_oracle(drawn):
+    columns, keys, n = drawn
+    table = _table(columns)
+    if not keys:
+        keys = list(COLUMNS)  # distinct() with no names: whole rows
+        got = table.distinct()
+    else:
+        got = table.distinct(*keys)
+    kept = ref.distinct(columns, keys, n)
+    expected = [{name: columns[name][i] for name in COLUMNS} for i in kept]
+    assert got.schema == DTYPES
+    assert _canonical_rows(got.to_rows(), {}) == _canonical_rows(expected, {})
 
 
 # ---------------------------------------------------------------------------
-# Deterministic cases forcing the kernels' sparse fallback branches, which
-# the small random tables above never reach.
+# Deterministic cases: the sparse nunique branch the small random tables
+# never reach, and the key/value semantics pinned literally.
 # ---------------------------------------------------------------------------
 
 
 def test_nunique_sparse_grid_matches_scalar_oracle():
     """group x value grid too large for the scatter kernel -> sort path."""
     n = 600
-    table = Table.from_columns(
-        {
-            "g": [i // 2 for i in range(n)],  # 300 groups
-            "v": [(i * 7) % 299 for i in range(n)],  # 299 distinct values
-        },
-        schema={"g": "int", "v": "int"},
-    )
-    vec = table.groupby("g").agg(n=("v", "nunique"))
-    with scalar_kernels():
-        ref = table.groupby("g").agg(n=("v", "nunique"))
-    _assert_tables_identical(vec, ref)
+    columns = {
+        "g": [i // 2 for i in range(n)],  # 300 groups
+        "v": [(i * 7) % 299 for i in range(n)],  # 299 distinct values
+    }
+    dtypes = {"g": "int", "v": "int"}
+    specs = {"n": ("v", "nunique")}
+    got = Table.from_columns(columns, schema=dtypes).groupby("g").agg(**specs)
+    rows, schema = ref.agg(columns, dtypes, ["g"], specs, n)
+    assert got.schema == schema
+    assert got.to_rows() == rows
 
 
-def test_join_sparse_code_space_matches_scalar_oracle():
-    """Composite keys whose radix product outgrows direct indexing."""
-    left = Table.from_columns(
-        {
-            "a": [(i * 13) % 997 for i in range(120)],
-            "b": [(i * 29) % 991 for i in range(120)],
-            "x": list(range(120)),
-        },
-        schema={"a": "int", "b": "int", "x": "int"},
-    )
-    right = Table.from_columns(
-        {
-            "a": [(i * 13) % 997 for i in range(0, 120, 3)],
-            "b": [(i * 29) % 991 for i in range(0, 120, 3)],
-            "y": list(range(40)),
-        },
-        schema={"a": "int", "b": "int", "y": "int"},
-    )
-    for how in ("inner", "left"):
-        vec = hash_join(left, right, on=["a", "b"], how=how)
-        with scalar_kernels():
-            ref = hash_join(left, right, on=["a", "b"], how=how)
-        assert vec.num_rows > 0
-        _assert_tables_identical(vec, ref)
+KEYS = [0.0, NAN, None, -0.0, NAN, 1.0, None, 0.0]
+VALUES = [1.0, -0.0, 3.0, NAN, None, 0.0, 7.0, None]
+
+
+def _pinned(specs):
+    """``KEYS`` grouped, aggregating ``VALUES``: kernels and reference."""
+    columns = {"k": KEYS, "v": VALUES}
+    dtypes = {"k": "float", "v": "float"}
+    got = Table.from_columns(columns, schema=dtypes).groupby("k").agg(**specs)
+    rows, _ = ref.agg(columns, dtypes, ["k"], specs, len(KEYS))
+    return [_canonical_rows(got.to_rows(), specs), _canonical_rows(rows, specs)]
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["kernels", "reference"])
+class TestPinnedSemantics:
+    def test_nan_keys_form_one_group_and_zeros_another(self, side):
+        rows = _pinned({"n": ("v", "size")})[side]
+        assert [(row["k"], row["n"]) for row in rows] == [
+            (ref.canonical(0.0), ("int", 3)),  # 0.0, -0.0, 0.0 keyed 0.0
+            (ref.canonical(NAN), ("int", 2)),
+            (ref.canonical(None), ("int", 2)),
+            (ref.canonical(1.0), ("int", 1)),
+        ]
+
+    def test_zero_group_is_keyed_by_its_first_zero(self, side):
+        columns = {"k": [-0.0, 0.0, 0.0]}
+        table = Table.from_columns(columns, schema={"k": "float"})
+        answers = [
+            table.groupby("k").agg(n=("k", "size")).column("k").to_list(),
+            [key for (key,), _ in ref.groups(columns, ["k"], 3)],
+        ]
+        assert [ref.canonical(k) for k in answers[side]] == [
+            ref.canonical(-0.0)
+        ]
+
+    def test_min_max_propagate_nan(self, side):
+        rows = _pinned({"lo": ("v", "min"), "hi": ("v", "max")})[side]
+        nan = ref.canonical(NAN)
+        assert [(row["lo"], row["hi"]) for row in rows] == [
+            (nan, nan),  # the 0.0 group holds a NaN value
+            (ref.canonical(-0.0, False), ref.canonical(-0.0, False)),
+            (ref.canonical(3.0), ref.canonical(7.0)),
+            (ref.canonical(0.0), ref.canonical(0.0)),
+        ]
+
+    def test_nunique_counts_nan_once_and_signed_zeros_once(self, side):
+        columns = {"v": [NAN, 0.0, NAN, -0.0, None, 2.0]}
+        table = Table.from_columns(columns, schema={"v": "float"})
+        answers = [
+            table.groupby().agg(n=("v", "nunique")).column("n").to_list(),
+            [ref.aggregate("nunique", columns["v"], "float")],
+        ]
+        assert answers[side] == [3]
+
+    def test_first_last_return_the_rows_value_null_included(self, side):
+        rows = _pinned({"f": ("v", "first"), "l": ("v", "last")})[side]
+        assert [(row["f"], row["l"]) for row in rows] == [
+            (ref.canonical(1.0), ref.canonical(None)),
+            (ref.canonical(-0.0), ref.canonical(None)),
+            (ref.canonical(3.0), ref.canonical(7.0)),
+            (ref.canonical(0.0), ref.canonical(0.0)),
+        ]
+
+    def test_zero_keys_over_no_rows_is_one_row(self, side):
+        specs = {f: ("v", f) for f in ref.FUNCTIONS}
+        table = Table.from_columns({"v": []}, schema={"v": "float"})
+        answers = [
+            table.groupby().agg(**specs).to_rows(),
+            ref.agg({"v": []}, {"v": "float"}, [], specs, 0)[0],
+        ]
+        assert answers[side] == [{
+            "count": 0, "size": 0, "sum": None, "mean": None, "min": None,
+            "max": None, "std": None, "nunique": 0, "first": None,
+            "last": None,
+        }]

@@ -79,25 +79,3 @@ def test_groupby_sums_match_total(pairs):
     table = Table.from_rows([{"k": k, "v": v} for k, v in pairs])
     grouped = table.groupby("k").agg(total=("v", "sum"))
     assert sum(grouped.column("total").to_list()) == sum(v for _, v in pairs)
-
-
-@given(
-    st.lists(st.integers(0, 5), min_size=0, max_size=30),
-    st.lists(st.integers(0, 5), min_size=0, max_size=30),
-)
-@settings(max_examples=50)
-def test_inner_join_count_matches_product(left_keys, right_keys):
-    """|join| = Σ_k count_left(k)·count_right(k)."""
-    from collections import Counter
-
-    from repro.tabular import hash_join
-
-    left = Table.from_rows([{"k": k, "l": i} for i, k in enumerate(left_keys)])
-    right = Table.from_rows([{"k": k, "r": i} for i, k in enumerate(right_keys)])
-    if not left_keys or not right_keys:
-        return  # join requires the key column to exist on both sides
-    joined = hash_join(left, right, on="k")
-    left_counts = Counter(left_keys)
-    right_counts = Counter(right_keys)
-    expected = sum(left_counts[k] * right_counts.get(k, 0) for k in left_counts)
-    assert joined.num_rows == expected
