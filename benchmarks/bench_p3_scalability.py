@@ -219,18 +219,21 @@ def test_p3_recovery_latency(tmp_path, emit):
     epoch = dt.date(2010, 1, 1)
 
     def load(start: int, count: int) -> None:
+        # one column batch per transaction: one block frame each
         for base in range(start, start + count, batch):
+            vids = range(base, min(base + batch, start + count))
+            rows = Table.from_columns(
+                {
+                    "vid": vids,
+                    "pid": [vid // 3 for vid in vids],
+                    "fbg": [4.0 + (vid % 70) / 10.0 for vid in vids],
+                    "when": [epoch + dt.timedelta(days=vid % 1461) for vid in vids],
+                },
+                schema=engine.catalog.get("visits").schema,
+            )
             with engine.transaction():
-                for vid in range(base, min(base + batch, start + count)):
-                    engine.insert(
-                        "visits",
-                        {
-                            "vid": vid,
-                            "pid": vid // 3,
-                            "fbg": 4.0 + (vid % 70) / 10.0,
-                            "when": epoch + dt.timedelta(days=vid % 1461),
-                        },
-                    )
+                _, rejected = engine.insert("visits", rows)
+            assert rejected == []
 
     load(0, rows)
     snapshot_s, _ = _best_of(lambda: checkpoint(engine, snap_root), repeats=1)

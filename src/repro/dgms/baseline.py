@@ -25,8 +25,9 @@ class ClassicDGMS:
             table_name, dict(source.schema), primary_key="visit_id"
         )
         with self.engine.transaction():
-            for row in source.iter_rows():
-                self.engine.insert(table_name, row)
+            _, rejected = self.engine.insert(table_name, source)
+            if rejected:
+                raise rejected[0][1]
         self.executor = DGSQLExecutor(self.engine)
 
     def query(self, sql: str):

@@ -7,7 +7,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro import obs
 from repro.errors import (
@@ -69,34 +69,30 @@ _FOLD_TABLE = "feedback_folds"
 DEFAULT_INGEST_CHUNK_ROWS = 256
 
 
-def _chunks(items: list, size: int) -> Iterable[list]:
-    for start in range(0, len(items), size):
-        yield items[start:start + size]
-
-
 def _insert_visits(
     engine: StorageEngine,
-    rows: Iterable[tuple[int, dict]],
+    rows: Table,
+    positions: Sequence[int],
     quarantine,
     batch: str,
 ) -> list[int]:
-    """One OLTP transaction over ``(batch position, row)`` pairs.
+    """One OLTP transaction: one batch insert of ``rows``.
 
+    ``positions[i]`` is row ``i``'s position in the ingested batch.
     Returns the store's row id of every accepted row, in write order.  A
     structurally invalid row (null/duplicate ``visit_id``, schema
-    violation) goes through :func:`~repro.etl.quarantine.divert`: inserts
-    validate before mutating, so a diverted row leaves no partial state
-    behind, and a re-raised error rolls the whole transaction back.
+    violation) goes through :func:`~repro.etl.quarantine.divert`: the
+    insert stores only the rows it accepts, so a diverted row leaves no
+    partial state behind, and a re-raised error rolls the whole
+    transaction back.
     """
-    accepted: list[int] = []
     with engine.transaction():
-        for index, row in rows:
-            try:
-                accepted.append(engine.insert("attendances", row))
-            except ReproError as exc:
-                divert(
-                    quarantine, "oltp", row, exc, batch=batch, source_index=index
-                )
+        accepted, rejected = engine.insert("attendances", rows)
+        for position, error in rejected:
+            divert(
+                quarantine, "oltp", rows.row(position), error,
+                batch=batch, source_index=positions[position],
+            )
     return accepted
 
 
@@ -306,7 +302,9 @@ class DDDGMS:
             _FOLD_TABLE, {"fold_id": "int", "dimension": "str"},
             primary_key="fold_id",
         )
-        _insert_visits(engine, enumerate(source.iter_rows()), quarantine, batch)
+        _insert_visits(
+            engine, source, range(source.num_rows), quarantine, batch
+        )
         engine.create_index("attendances", "patient_id")
         return engine
 
@@ -975,31 +973,37 @@ class DDDGMS:
         back out and the store, like the published epoch, never saw it.
         """
         store = self.operational_store
-        rows = list(
-            enumerate(new_visits.select(self._source_columns()).to_rows())
-        )
-        offered = len(rows)
+        rows = new_visits.select(self._source_columns())
+        offered = rows.num_rows
+        positions = list(range(offered))
         all_or_nothing = self.quarantine is None
         if all_or_nothing:
             chunk_rows = offered
         else:
             chunk_rows = self.ingest_chunk_rows
             # a probe of the key index, no stored row is decoded
-            rows = [
-                (i, row)
-                for i, row in rows
-                if row.get("visit_id") is None
-                or not store.has_pk("attendances", row["visit_id"])
+            positions = [
+                i
+                for i, key in enumerate(rows.column("visit_id").to_list())
+                if key is None or not store.has_pk("attendances", key)
             ]
+            if len(positions) < offered:
+                rows = rows.take(positions)
         accepted_ids: list[int] = []
         with obs.span(
-            "dgms.ingest.oltp", rows=len(rows), skipped=offered - len(rows)
+            "dgms.ingest.oltp",
+            rows=len(positions), skipped=offered - len(positions),
         ):
-            for chunk in _chunks(rows, chunk_rows):
+            for start in range(0, len(positions), chunk_rows):
+                chunk = range(start, min(start + chunk_rows, len(positions)))
                 chunk_ids = self._with_retry(
                     "ingest.oltp",
                     lambda chunk=chunk: _insert_visits(
-                        store, chunk, self.quarantine, batch
+                        store,
+                        rows.take(chunk) if len(chunk) < rows.num_rows else rows,
+                        positions[chunk.start:chunk.stop],
+                        self.quarantine,
+                        batch,
                     ),
                 )
                 accepted_ids.extend(chunk_ids)

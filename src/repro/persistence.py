@@ -81,8 +81,8 @@ def detect_kind(path: str | Path) -> str:
 
     Detection reads only the directory layout: a single JSON file is a
     knowledge base, a directory with ``schema.json`` is a warehouse, and
-    a directory with generation subdirectories (or a flat format-1
-    ``catalog.json``) is an operational snapshot store.
+    a directory with generation subdirectories is an operational
+    snapshot store.
     """
     target = Path(path)
     if target.is_file():
@@ -90,15 +90,14 @@ def detect_kind(path: str | Path) -> str:
     if target.is_dir():
         if (target / "schema.json").exists():
             return "warehouse"
-        has_generation = any(
+        if any(
             child.is_dir() and child.name.startswith("gen-")
             for child in target.iterdir()
-        )
-        if has_generation or (target / "catalog.json").exists():
+        ):
             return "storage"
         raise PersistenceError(
             f"{target}: directory holds no recognisable artefact "
-            "(no schema.json, generation directories or catalog.json)"
+            "(no schema.json or generation directories)"
         )
     raise PersistenceError(f"nothing exists at {target}")
 

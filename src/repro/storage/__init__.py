@@ -3,7 +3,8 @@
 The paper's clinical environment has "flat file storage, multiple database
 vendors and different data models"; this package plays the role of those
 operational stores.  It provides named tables with declared schemas,
-row-level CRUD inside transactions, hash and sorted indexes, a
+CRUD inside transactions (an insert takes a whole column batch, validated
+per column and logged as one column block), hash and sorted indexes, a
 checksummed write-ahead log for durability, snapshot generations with
 verified manifests, and crash recovery (newest valid generation + WAL
 replay) with a pluggable fault-injection harness.
@@ -17,6 +18,7 @@ replay) with a pluggable fault-injection harness.
                                "fbg": "float"}, primary_key="visit_id")
     with db.transaction():
         db.insert("visits", {"visit_id": 1, "patient_id": 7, "fbg": 5.4})
+        accepted, rejected = db.insert("visits", batch)   # a Table
     checkpoint(db, "snapshots/")       # durable point-in-time state
     db = recover("snapshots/", "visits.wal")   # after a crash
 """

@@ -1,6 +1,6 @@
-"""Crash-safe file primitives: atomic writes and checksummed framing.
+"""Crash-safe file primitives: atomic writes, checksummed framing, column blocks.
 
-Two building blocks shared by the WAL, the snapshot store and the
+Three building blocks shared by the WAL, the snapshot store and the
 warehouse/knowledge persistence modules:
 
 * **Atomic whole-file writes** — write to a temp file in the same
@@ -19,6 +19,22 @@ warehouse/knowledge persistence modules:
   record followed by further data — bit rot or tampering, which must be
   surfaced, not silently dropped).
 
+* **Column blocks** — one encoding for a batch of rows of one table, used
+  both as a WAL insert record and as a snapshot's table file
+  (little-endian throughout)::
+
+      b"RCB1" <u32 n> <table name>  <u32 rows> <u32 columns>
+      <i64 row id> * rows
+      per column:
+          <u32 n> <column name> <u8 dtype tag>
+          <validity bitmap: ceil(rows / 8) bytes, least significant bit first>
+          <u64 data bytes> <data>
+
+  ``data`` is the raw buffer for int and date (``<i8``, dates as day
+  ordinals), float (``<f8``, so NaN payloads and signed zeros survive bit
+  for bit) and bool (``u1``); a str column is one UTF-8 JSON list with
+  ``null`` at null slots.  No pickle, and nothing is encoded per row.
+
 Every write is routed through :mod:`repro.storage.faults` under a caller
 -supplied fault-point name, so the failure modes above are testable.
 """
@@ -33,12 +49,32 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from repro.errors import ChecksumError
 from repro.storage import faults
+from repro.tabular.column import Column
+from repro.tabular.dtypes import DType
+from repro.tabular.table import Table
 
 #: Frame header: payload length (u32), crc32 (u32), sequence number (u64).
 _FRAME_HEADER = struct.Struct("<IIQ")
 FRAME_OVERHEAD = _FRAME_HEADER.size
+
+_BLOCK_MAGIC = b"RCB1"
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_SHAPE = struct.Struct("<II")  # rows, columns
+#: dtype tag on disk = position in this tuple
+_BLOCK_DTYPES = (DType.INT, DType.FLOAT, DType.STR, DType.BOOL, DType.DATE)
+_BLOCK_TAGS = {dtype: tag for tag, dtype in enumerate(_BLOCK_DTYPES)}
+#: on-disk element type of each fixed-width dtype
+_BLOCK_WIRE = {
+    DType.INT: np.dtype("<i8"),
+    DType.FLOAT: np.dtype("<f8"),
+    DType.BOOL: np.dtype("u1"),
+    DType.DATE: np.dtype("<i8"),
+}
 
 
 def crc32_bytes(data: bytes) -> int:
@@ -148,6 +184,96 @@ def scan_frames(data: bytes, start: int = 0) -> ScanResult:
         frames.append(Frame(seq=seq, payload=payload, end=body_end))
         offset = body_end
     return ScanResult(frames, offset)
+
+
+@dataclass
+class ColumnBlock:
+    """Rows of one table as typed columns, with their physical row ids."""
+
+    table: str
+    row_ids: np.ndarray
+    rows: Table
+
+
+def _name_bytes(name: str) -> bytes:
+    raw = name.encode("utf-8")
+    return _U32.pack(len(raw)) + raw
+
+
+def encode_block(block: ColumnBlock) -> bytes:
+    """Serialise a :class:`ColumnBlock` (layout in the module docstring)."""
+    rows = block.rows
+    parts = [
+        _BLOCK_MAGIC,
+        _name_bytes(block.table),
+        _SHAPE.pack(rows.num_rows, len(rows.column_names)),
+        np.asarray(block.row_ids, dtype="<i8").tobytes(),
+    ]
+    for name in rows.column_names:
+        column = rows.column(name)
+        if column.dtype is DType.STR:
+            data = json.dumps(column.to_list()).encode("utf-8")
+        else:
+            data = column.data.astype(_BLOCK_WIRE[column.dtype], copy=False).tobytes()
+        parts += (
+            _name_bytes(name),
+            bytes((_BLOCK_TAGS[column.dtype],)),
+            np.packbits(column.valid, bitorder="little").tobytes(),
+            _U64.pack(len(data)),
+            data,
+        )
+    return b"".join(parts)
+
+
+def decode_block(data: bytes | memoryview) -> ColumnBlock:
+    """Inverse of :func:`encode_block`; raises ``ValueError`` when malformed."""
+    view = memoryview(data)
+    if bytes(view[:len(_BLOCK_MAGIC)]) != _BLOCK_MAGIC:
+        raise ValueError("not a column block (bad magic)")
+    offset = len(_BLOCK_MAGIC)
+
+    def name_at(at: int) -> tuple[str, int]:
+        (size,) = _U32.unpack_from(view, at)
+        at += _U32.size
+        return bytes(view[at:at + size]).decode("utf-8"), at + size
+
+    try:
+        table, offset = name_at(offset)
+        n_rows, n_columns = _SHAPE.unpack_from(view, offset)
+        offset += _SHAPE.size
+        row_ids = np.frombuffer(view, "<i8", n_rows, offset).astype(np.int64)
+        offset += 8 * n_rows
+        mask_bytes = (n_rows + 7) // 8
+        columns: dict[str, Column] = {}
+        for _ in range(n_columns):
+            name, offset = name_at(offset)
+            dtype = _BLOCK_DTYPES[view[offset]]
+            offset += 1
+            valid = np.unpackbits(
+                np.frombuffer(view, np.uint8, mask_bytes, offset),
+                count=n_rows, bitorder="little",
+            ).astype(bool)
+            offset += mask_bytes
+            (size,) = _U64.unpack_from(view, offset)
+            offset += _U64.size
+            raw = view[offset:offset + size]
+            offset += size
+            if dtype is DType.STR:
+                values = json.loads(bytes(raw).decode("utf-8"))
+                column_data = np.empty(len(values), dtype=object)
+                column_data[:] = values
+            else:
+                column_data = np.frombuffer(
+                    raw, _BLOCK_WIRE[dtype], n_rows
+                ).astype(dtype.numpy_dtype)
+            columns[name] = Column(dtype, column_data, valid)
+    except (struct.error, IndexError) as exc:
+        raise ValueError(f"truncated column block: {exc}") from None
+    if offset != len(view):
+        raise ValueError(
+            f"column block has {len(view) - offset} trailing bytes"
+        )
+    return ColumnBlock(table, row_ids, Table(columns))
 
 
 def json_encode_value(value: object) -> object:

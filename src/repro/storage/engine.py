@@ -2,20 +2,37 @@
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import (
+    DTypeError,
     IntegrityError,
+    ReproError,
     StorageError,
     TransactionError,
 )
 from repro.storage.catalog import Catalog, TableMeta
-from repro.storage.durable import json_decode_value
+from repro.storage.durable import ColumnBlock
 from repro.storage.index import HashIndex, SortedIndex
 from repro.storage.wal import OP_DELETE, OP_INSERT, OP_UPDATE, WriteAheadLog
+from repro.tabular.column import Column
 from repro.tabular.dtypes import DType, coerce_value, ordinal_to_date
 from repro.tabular.table import Table
+
+#: ``(position in the batch, error)`` for each row an insert refused
+Rejected = list[tuple[int, ReproError]]
+
+
+def _storage_list(column: Column) -> list[object]:
+    """Storage values of a column: ``None`` for nulls, dates as ordinals."""
+    if column.dtype is DType.DATE:
+        column = Column(DType.INT, column.data, column.valid)
+    return column.to_list()
 
 
 class _StoredTable:
@@ -130,38 +147,42 @@ class StorageEngine:
     def insert(
         self,
         table: str,
-        row: Mapping[str, object],
+        rows: "Table | Mapping[str, object]",
         *,
-        at_row_id: int | None = None,
-    ) -> int:
-        """Insert one row; returns its internal row id.
+        row_ids: Sequence[int] | None = None,
+    ) -> "tuple[list[int], Rejected] | int":
+        """Insert a batch of rows (a :class:`Table`) or one row (a mapping).
 
-        ``at_row_id`` pins the internal id instead of allocating the next
-        one — used by snapshot load and WAL replay so that physical row
-        ids (which later update/delete records reference) are identical
-        after recovery.
+        The batch is validated once per column: a column whose dtype is
+        the schema's is taken as is, any other coerces per value.  Each
+        row is then stored or refused, in position order, exactly as if
+        the rows had been inserted one at a time — so within a batch the
+        first otherwise-valid occurrence of a primary key wins.  A
+        :class:`Table` returns ``(accepted row ids, [(position, error)])``;
+        a mapping returns its row id or raises its error.  The rows it
+        stores are logged together as one column-block WAL record.
+
+        ``row_ids`` pins the internal ids instead of allocating the next
+        ones — used by WAL replay so that physical row ids (which later
+        update/delete records reference) are identical after recovery.
         """
         txn = self._require_txn()
         stored = self._stored(table)
-        clean = self._validate_row(stored.meta, row)
-        self._check_pk_unique(stored, clean)
-        self._check_foreign_keys(stored.meta, clean)
-        if at_row_id is None:
-            row_id = stored.next_row_id
-        else:
-            row_id = at_row_id
-            if row_id in stored.rows:
-                raise StorageError(
-                    f"row id {row_id} already occupied in table {table!r}"
-                )
-        stored.next_row_id = max(stored.next_row_id, row_id + 1)
-        stored.rows[row_id] = clean
-        self._index_add(stored, row_id, clean)
+        added: list[int] = []
         # Undo is registered before the WAL append so a failed append (e.g.
-        # an injected fault) still rolls this row back with the transaction.
-        self._undo.append(lambda: self._undo_insert(stored, row_id))
-        self.wal.append(txn, OP_INSERT, table, {"row_id": row_id, **clean})
-        return row_id
+        # an injected fault) still rolls these rows back with the transaction.
+        self._undo.append(lambda: self._undo_inserts(stored, added))
+        kept, rejected = self._insert_batch(stored, rows, row_ids, added)
+        if added:
+            self.wal.append(
+                txn, OP_INSERT, table,
+                ColumnBlock(table, np.asarray(added, dtype=np.int64), kept),
+            )
+        if isinstance(rows, Table):
+            return added, rejected
+        if rejected:
+            raise rejected[0][1]
+        return added[0]
 
     def update(
         self, table: str, row_id: int, changes: Mapping[str, object]
@@ -174,7 +195,10 @@ class StorageEngine:
         old = dict(stored.rows[row_id])
         merged = dict(old)
         merged.update(changes)
-        clean = self._validate_row(stored.meta, merged)
+        _, records, errors = self._validate(stored.meta, merged)
+        if errors:
+            raise errors[0]
+        clean = records[0]
         pk = stored.meta.primary_key
         if pk and clean.get(pk) != old.get(pk):
             self._check_pk_unique(stored, clean)
@@ -324,27 +348,119 @@ class StorageEngine:
                 out[name] = ordinal_to_date(int(value))  # type: ignore[arg-type]
         return out
 
-    def _validate_row(
-        self, meta: TableMeta, row: Mapping[str, object]
-    ) -> dict[str, object]:
-        if not row.keys() <= meta.schema.keys():
-            unknown = set(row) - set(meta.schema) - {"row_id"}
-            if unknown:
-                raise StorageError(
-                    f"unknown columns {sorted(unknown)} for table {meta.name!r}"
-                )
-        clean: dict[str, object] = {}
+    def _validate(
+        self, meta: TableMeta, rows: "Table | Mapping[str, object]"
+    ) -> tuple[dict[str, Column], list[dict[str, object]], dict[int, ReproError]]:
+        """Check a batch column by column.
+
+        Returns the schema's columns in storage types, one row dict per
+        row built from them in bulk, and the error of every row that
+        fails — the first a per-row check would raise: unknown columns,
+        then, in schema order, a null in a not-null or key column or a
+        value the column's dtype cannot hold.
+        """
+        if isinstance(rows, Table):
+            n = rows.num_rows
+            given: dict = {name: rows.column(name) for name in rows.column_names}
+        else:
+            n = 1
+            given = {name: [value] for name, value in rows.items()}
+        unknown = given.keys() - meta.schema.keys() - {"row_id"}
+        if unknown:
+            error = StorageError(
+                f"unknown columns {sorted(unknown)} for table {meta.name!r}"
+            )
+            return {}, [], dict.fromkeys(range(n), error)
+        errors: dict[int, ReproError] = {}
+        columns: dict[str, Column] = {}
         for name, dtype in meta.schema.items():
-            value = row.get(name)
-            if value is None:
-                if name in meta.not_null or name == meta.primary_key:
-                    raise IntegrityError(
-                        f"column {meta.name}.{name} may not be null"
+            column = given.get(name)
+            if column is None:
+                column = Column.nulls(dtype, n)
+            elif not (isinstance(column, Column) and column.dtype is dtype):
+                column = self._coerce(column, dtype, errors)
+            if name in meta.not_null or name == meta.primary_key:
+                for i in np.flatnonzero(~column.valid).tolist():
+                    errors.setdefault(
+                        i,
+                        IntegrityError(f"column {meta.name}.{name} may not be null"),
                     )
-                clean[name] = None
+            columns[name] = column
+        names = list(columns)
+        lists = [_storage_list(column) for column in columns.values()]
+        return columns, [dict(zip(names, row)) for row in zip(*lists)], errors
+
+    @staticmethod
+    def _coerce(
+        values: "Column | list[object]", dtype: DType, errors: dict[int, ReproError]
+    ) -> Column:
+        """Per-value coercion of one column; a value that fails rejects its row."""
+        if isinstance(values, Column):
+            values = values.to_list()
+        coerced = []
+        for i, value in enumerate(values):
+            try:
+                coerced.append(coerce_value(value, dtype))
+            except DTypeError as exc:
+                errors.setdefault(i, exc)
+                coerced.append(None)
+        return Column.from_values(coerced, dtype)
+
+    def _insert_batch(
+        self,
+        stored: _StoredTable,
+        rows: "Table | Mapping[str, object]",
+        row_ids: Sequence[int] | None,
+        added: list[int],
+    ) -> tuple[Table, Rejected]:
+        """Validate a batch, then store or refuse each row in position order.
+
+        Appends each stored row's id to ``added`` as it goes (the caller's
+        undo reads it); returns the stored rows as typed columns and the
+        refused positions with their errors.
+        """
+        columns, records, errors = self._validate(stored.meta, rows)
+        pinned = None if row_ids is None else np.asarray(row_ids).tolist()
+        kept: list[int] = []
+        for i, row in enumerate(records):
+            if i in errors:
+                continue
+            try:
+                self._check_pk_unique(stored, row)
+                self._check_foreign_keys(stored.meta, row)
+            except ReproError as exc:
+                errors[i] = exc
+                continue
+            if pinned is None:
+                row_id = stored.next_row_id
             else:
-                clean[name] = coerce_value(value, dtype)
-        return clean
+                row_id = pinned[i]
+                if row_id in stored.rows:
+                    raise StorageError(
+                        f"row id {row_id} already occupied in table "
+                        f"{stored.meta.name!r}"
+                    )
+            stored.next_row_id = max(stored.next_row_id, row_id + 1)
+            stored.rows[row_id] = row
+            self._index_add(stored, row_id, row)
+            added.append(row_id)
+            kept.append(i)
+        batch = Table(columns)
+        if len(kept) < batch.num_rows:
+            batch = batch.take(kept)
+        return batch, sorted(errors.items())
+
+    def _restore_block(self, block: ColumnBlock) -> None:
+        """Load a snapshot's table block at its row ids.
+
+        The same validated batch insert, outside any transaction and
+        logging nothing: a generation is already durable.
+        """
+        _, rejected = self._insert_batch(
+            self._stored(block.table), block.rows, block.row_ids, []
+        )
+        if rejected:
+            raise rejected[0][1]
 
     def _check_pk_unique(self, stored: _StoredTable, row: dict[str, object]) -> None:
         if stored.pk_index is None:
@@ -385,10 +501,11 @@ class StorageEngine:
         for column, index in stored.secondary.items():
             index.remove(row.get(column), row_id)
 
-    def _undo_insert(self, stored: _StoredTable, row_id: int) -> None:
-        row = stored.rows.pop(row_id, None)
-        if row is not None:
-            self._index_remove(stored, row_id, row)
+    def _undo_inserts(self, stored: _StoredTable, row_ids: list[int]) -> None:
+        for row_id in row_ids:
+            row = stored.rows.pop(row_id, None)
+            if row is not None:
+                self._index_remove(stored, row_id, row)
 
     def _undo_update(self, stored: _StoredTable, row_id: int, old: dict) -> None:
         current = stored.rows.get(row_id)
@@ -407,32 +524,30 @@ def replay_into(
 ) -> int:
     """Re-apply committed WAL mutations with ``seq > after_seq`` to ``engine``.
 
-    The engine must already have the schema (tables created).  Payload
-    values are decoded against the catalog schema — tagged dates become
-    ``datetime.date`` and then re-coerce through the normal insert path,
-    so a replayed row is byte-identical to the original write (the old
-    ``default=str`` serialisation turned dates into bare strings).
-    Returns the number of entries applied.  ``after_seq`` lets recovery
-    skip entries already captured by a snapshot generation.
+    The engine must already have the schema (tables created).  Each
+    logged transaction is re-applied as one engine transaction: an
+    insert block goes through the same batch insert at its recorded row
+    ids (which later update/delete records reference), so a replayed row
+    is identical to the original write.  Returns the number of entries
+    applied.  ``after_seq`` lets recovery skip entries already captured
+    by a snapshot generation.
     """
+    pending = (e for e in wal.committed_entries() if e.seq > after_seq)
     applied = 0
-    for entry in wal.committed_entries():
-        if entry.seq <= after_seq:
-            continue
-        payload = {
-            k: json_decode_value(v) for k, v in entry.payload.items()
-        }
+    for _, entries in itertools.groupby(pending, key=attrgetter("txn_id")):
         with engine.transaction():
-            if entry.op == OP_INSERT:
-                # Entries from this format carry their physical row id so
-                # later update/delete records resolve; legacy entries
-                # (no id) fall back to sequential allocation.
-                row_id = payload.pop("row_id", None)
-                engine.insert(entry.table, payload, at_row_id=row_id)
-            elif entry.op == OP_UPDATE:
-                row_id = payload.pop("row_id")
-                engine.update(entry.table, row_id, payload)
-            elif entry.op == OP_DELETE:
-                engine.delete(entry.table, payload["row_id"])
-        applied += 1
+            for entry in entries:
+                if entry.op == OP_INSERT:
+                    block = entry.payload
+                    _, rejected = engine.insert(
+                        entry.table, block.rows, row_ids=block.row_ids
+                    )
+                    if rejected:
+                        raise rejected[0][1]
+                elif entry.op == OP_UPDATE:
+                    payload = dict(entry.payload)
+                    engine.update(entry.table, payload.pop("row_id"), payload)
+                elif entry.op == OP_DELETE:
+                    engine.delete(entry.table, entry.payload["row_id"])
+                applied += 1
     return applied

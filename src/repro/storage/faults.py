@@ -98,7 +98,7 @@ _STALL_DELAY_S = 2.0
 #: atomic-write boundaries; each also fires ``<point>.rename``
 _ATOMIC_WRITE_POINTS = frozenset({
     "atomic.write",
-    "wal.create", "wal.truncate", "wal.upgrade",
+    "wal.create", "wal.truncate",
     "snapshot.data", "snapshot.manifest",
     "warehouse.data", "warehouse.manifest",
     "kb.write",

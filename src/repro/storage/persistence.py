@@ -1,11 +1,12 @@
 """Whole-database snapshots: checksummed generations plus recovery.
 
-Layout (format 2)::
+Layout (format 3)::
 
     <root>/gen-00000001/MANIFEST.json     commit point: per-file digests,
                                           table → filename map, WAL position
     <root>/gen-00000001/catalog.json      table metadata (schema, keys, ...)
-    <root>/gen-00000001/table_<name>.json rows of each table (row_id -> values)
+    <root>/gen-00000001/table_<name>.blk  rows of each table: one column
+                                          block with their row ids
     <root>/gen-00000002/...               newer generations
 
 A generation is *valid* iff its ``MANIFEST.json`` parses and every file
@@ -21,13 +22,12 @@ Table names are percent-escaped into filenames (``table_`` prefix keeps
 them clear of ``catalog.json``/``MANIFEST.json``) and collisions — only
 possible via case-folding filesystems — are rejected loudly.
 
-Format-1 snapshots (a flat directory with bare ``<table>.json`` files and
-no manifest) still load through a compatibility path.
-
-JSON is chosen over a binary format because inspectability during a trial
-matters more than density.  Dates are stored as ISO strings.  A generation
-is *not* small, though: it re-serialises every row of every table (≈6.5 kB
-per 277-attribute visit, 7 MB for 1100 visits), so writing one costs the
+A table file is the same column block a WAL insert record carries
+(:func:`repro.storage.durable.encode_block`): per column a dtype tag, a
+validity bitmap and a raw little-endian buffer (str columns as one JSON
+list), so saving and loading cost a pass per column, not per row.  The
+manifest and catalog stay JSON.  A generation still holds every row of
+every table (≈2.2 kB per 277-attribute visit), so writing one costs the
 whole store however few rows changed.
 
 That is why checkpointing is **amortised**.  A committed transaction is
@@ -45,17 +45,21 @@ to about 2x: by the time a snapshot of ``S`` bytes is rewritten, at least
 
 from __future__ import annotations
 
-import datetime as _dt
 import json
 import shutil
 import urllib.parse
 from pathlib import Path
 
+import numpy as np
+
 from repro import obs
 from repro.errors import DurabilityError, SnapshotError, StorageError
 from repro.storage.durable import (
+    ColumnBlock,
     atomic_write_bytes,
     crc32_hex,
+    decode_block,
+    encode_block,
     fsync_dir,
     verify_digest,
 )
@@ -63,24 +67,12 @@ from repro.storage.engine import StorageEngine, replay_into
 from repro.storage.wal import WriteAheadLog
 from repro.tabular.dtypes import DType
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _GEN_PREFIX = "gen-"
 _MANIFEST = "MANIFEST.json"
 _CATALOG = "catalog.json"
 #: generations retained after a successful save (the newest plus fallbacks)
 KEEP_GENERATIONS = 2
-
-
-def _encode_value(value: object) -> object:
-    if isinstance(value, _dt.date):
-        return {"__date__": value.isoformat()}
-    return value
-
-
-def _decode_value(value: object) -> object:
-    if isinstance(value, dict) and "__date__" in value:
-        return _dt.date.fromisoformat(value["__date__"])
-    return value
 
 
 def table_filename(name: str) -> str:
@@ -92,12 +84,7 @@ def table_filename(name: str) -> str:
     """
     if not name:
         raise StorageError("cannot snapshot a table with an empty name")
-    return f"table_{urllib.parse.quote(name, safe='')}.json"
-
-
-def _table_name_from_filename(filename: str) -> str:
-    stem = filename[len("table_"):-len(".json")]
-    return urllib.parse.unquote(stem)
+    return f"table_{urllib.parse.quote(name, safe='')}.blk"
 
 
 def _generation_dirs(root: Path) -> list[Path]:
@@ -133,12 +120,11 @@ def _catalog_payload(engine: StorageEngine) -> dict:
     return catalog
 
 
-def _rows_payload(engine: StorageEngine, name: str) -> dict:
-    stored = engine._tables[name]
-    return {
-        str(row_id): {k: _encode_value(v) for k, v in row.items()}
-        for row_id, row in sorted(stored.rows.items())
-    }
+def _table_block(engine: StorageEngine, name: str) -> ColumnBlock:
+    row_ids = sorted(engine._tables[name].rows)
+    return ColumnBlock(
+        name, np.asarray(row_ids, dtype=np.int64), engine.scan(name, row_ids)
+    )
 
 
 def _save_snapshot(
@@ -184,7 +170,7 @@ def _save_snapshot(
         digests[_CATALOG] = crc32_hex(catalog_bytes)
         snapshot_bytes += len(catalog_bytes)
         for name in names:
-            data = json.dumps(_rows_payload(engine, name)).encode("utf-8")
+            data = encode_block(_table_block(engine, name))
             atomic_write_bytes(
                 gen_dir / filenames[name], data, point="snapshot.data"
             )
@@ -237,16 +223,38 @@ def load_generation(gen_dir: str | Path) -> tuple[StorageEngine, dict]:
     catalog_bytes = verify_digest(gen_path / _CATALOG, digests[_CATALOG])
     catalog = json.loads(catalog_bytes.decode("utf-8"))
 
-    engine = _engine_from_catalog(catalog)
+    engine = StorageEngine()
+    for name, meta in catalog.items():
+        engine.create_table(
+            name,
+            {k: DType.coerce(v) for k, v in meta["schema"].items()},
+            primary_key=meta["primary_key"],
+            not_null=set(meta["not_null"]),
+        )
     for name, filename in manifest["tables"].items():
         if filename not in digests:
             raise SnapshotError(
                 f"{gen_path}: manifest records no digest for {filename!r}"
             )
-        data = verify_digest(gen_path / filename, digests[filename])
-        _insert_rows(engine, name, json.loads(data.decode("utf-8")))
-    _restore_row_id_allocators(engine, catalog)
-    _rebuild_indexes(engine, catalog)
+        block = decode_block(verify_digest(gen_path / filename, digests[filename]))
+        if block.table != name:
+            raise SnapshotError(
+                f"{gen_path}: {filename!r} holds table {block.table!r}, "
+                f"not {name!r}"
+            )
+        engine._restore_block(block)
+    # Foreign keys attach after every table is loaded (the rows were
+    # checked when first written), so load order does not matter.
+    for name, meta in catalog.items():
+        table_meta = engine.catalog.get(name)
+        table_meta.foreign_keys = {
+            k: tuple(v) for k, v in meta["foreign_keys"].items()
+        }
+        table_meta.version = meta["version"]
+        stored = engine._tables[name]
+        stored.next_row_id = max(stored.next_row_id, meta["next_row_id"])
+        for column in meta["indexes"]:
+            engine.create_index(name, column)
     return engine, manifest
 
 
@@ -255,17 +263,14 @@ def _load_snapshot(directory: str | Path) -> StorageEngine:
 
     Verifies checksums; raises :class:`~repro.errors.SnapshotError` when
     the newest generation is damaged (use :func:`recover` to fall back to
-    older generations and replay the WAL).  Flat format-1 directories
-    load through the compatibility path.
+    older generations and replay the WAL).
     """
     root = Path(directory)
     generations = _generation_dirs(root)
-    if generations:
-        engine, _ = load_generation(generations[-1])
-        return engine
-    if (root / _CATALOG).exists():
-        return _load_flat_legacy(root)
-    raise StorageError(f"no snapshot found at {root}")
+    if not generations:
+        raise StorageError(f"no snapshot found at {root}")
+    engine, _ = load_generation(generations[-1])
+    return engine
 
 
 def recover(
@@ -273,11 +278,10 @@ def recover(
 ) -> StorageEngine:
     """Crash recovery: newest *valid* generation + WAL replay.
 
-    Walks generations newest-first, skipping damaged or incomplete ones
-    (with the legacy flat layout as a final fallback), then replays
-    committed WAL records appended after the chosen generation's
-    ``wal_seq``.  The recovered engine adopts the (tail-repaired) WAL so
-    subsequent transactions continue the same log.
+    Walks generations newest-first, skipping damaged or incomplete ones,
+    then replays committed WAL records appended after the chosen
+    generation's ``wal_seq``.  The recovered engine adopts the
+    (tail-repaired) WAL so subsequent transactions continue the same log.
     """
     root = Path(directory)
     with obs.span("recover", root=str(root)) as sp:
@@ -294,12 +298,6 @@ def recover(
                 break
             except (DurabilityError, OSError, KeyError, ValueError) as exc:
                 problems.append(f"{gen_dir.name}: {exc}")
-        if engine is None and (root / _CATALOG).exists():
-            try:
-                engine = _load_flat_legacy(root)
-                generation = "flat-legacy"
-            except (DurabilityError, StorageError, OSError, ValueError) as exc:
-                problems.append(f"flat layout: {exc}")
         if engine is None:
             detail = "; ".join(problems) if problems else "no generations present"
             raise SnapshotError(f"no recoverable snapshot at {root} ({detail})")
@@ -401,64 +399,3 @@ def checkpoint(
         engine.wal.truncate()
         obs.count("storage.checkpoints")
     return gen_dir
-
-
-# ----------------------------------------------------------------------
-# Shared loading internals + format-1 compatibility
-# ----------------------------------------------------------------------
-
-
-def _engine_from_catalog(catalog: dict) -> StorageEngine:
-    engine = StorageEngine()
-    # Create tables without FKs first, then attach FK metadata, so load
-    # order between referencing/referenced tables does not matter.
-    for name, meta in catalog.items():
-        engine.create_table(
-            name,
-            {k: DType.coerce(v) for k, v in meta["schema"].items()},
-            primary_key=meta["primary_key"],
-            not_null=set(meta["not_null"]),
-        )
-    for name, meta in catalog.items():
-        engine.catalog.get(name).foreign_keys = {
-            k: tuple(v) for k, v in meta["foreign_keys"].items()
-        }
-        engine.catalog.get(name).version = meta["version"]
-    return engine
-
-
-def _insert_rows(engine: StorageEngine, name: str, rows: dict) -> None:
-    with engine.transaction():
-        for row_id_text, row in sorted(rows.items(), key=lambda p: int(p[0])):
-            decoded = {k: _decode_value(v) for k, v in row.items()}
-            engine.insert(name, decoded, at_row_id=int(row_id_text))
-
-
-def _restore_row_id_allocators(engine: StorageEngine, catalog: dict) -> None:
-    for name, meta in catalog.items():
-        recorded = meta.get("next_row_id")  # absent in format-1 catalogs
-        if recorded is not None:
-            stored = engine._tables[name]
-            stored.next_row_id = max(stored.next_row_id, recorded)
-
-
-def _rebuild_indexes(engine: StorageEngine, catalog: dict) -> None:
-    for name, meta in catalog.items():
-        for column in meta.get("indexes", []):
-            engine.create_index(name, column)
-
-
-def _load_flat_legacy(root: Path) -> StorageEngine:
-    """Format 1: bare ``catalog.json`` + ``<table>.json``, no checksums."""
-    with open(root / _CATALOG, encoding="utf-8") as handle:
-        catalog = json.load(handle)
-    engine = _engine_from_catalog(catalog)
-    for name in catalog:
-        table_file = root / f"{name}.json"
-        if not table_file.exists():
-            continue
-        with open(table_file, encoding="utf-8") as handle:
-            rows = json.load(handle)
-        _insert_rows(engine, name, rows)
-    _rebuild_indexes(engine, catalog)
-    return engine

@@ -1,9 +1,9 @@
 """Write-ahead log: ordered, checksummed record of committed mutations.
 
-The engine appends one entry per mutation inside a transaction and marks
-the batch committed by writing a *commit record*; ``replay`` reapplies
-committed entries to an empty engine — used by snapshot-plus-log recovery
-and exercised by the failure-injection tests.
+The engine appends one entry per mutation call inside a transaction and
+marks the transaction committed by writing a *commit record*; ``replay``
+reapplies committed entries to an empty engine — used by
+snapshot-plus-log recovery and exercised by the failure-injection tests.
 
 On-disk format (version 2) is an append-only stream::
 
@@ -11,9 +11,15 @@ On-disk format (version 2) is an append-only stream::
     <frame>*                                      -- see repro.storage.durable
 
 Each frame carries a monotonically increasing sequence number and a CRC32
-over (seq || payload); payloads are JSON — either a mutation entry
-(``{"t": "e", ...}``) or a commit mark (``{"t": "c", "txn": n}``).  A
-transaction is durable iff its commit frame is intact, so
+over (seq || payload).  A payload is one of three records:
+
+* an insert — ``b"B" <u64 txn>`` followed by one column block
+  (:func:`~repro.storage.durable.encode_block`) holding every row that
+  insert call stored, with their row ids;
+* an update or delete — a JSON row record (``{"t": "e", ...}``);
+* a commit mark — JSON ``{"t": "c", "txn": n}``.
+
+A transaction is durable iff its commit frame is intact, so
 :meth:`WriteAheadLog.load` can classify damage precisely: an incomplete
 or checksum-failing *final* frame is a torn tail (the expected residue of
 a crash mid-append) and is truncated away; a bad frame with further data
@@ -23,10 +29,8 @@ behind it is mid-log corruption and raises
 snapshot manifests record the last sequence they contain and recovery
 replays only entries after it.
 
-Version-1 logs (JSON lines with per-entry ``committed`` flags, dates
-stringified by ``default=str``) are still readable: :meth:`load` detects
-them by their first byte and transparently rewrites the file in the
-framed format.
+An in-memory log (``path=None``) keeps its entries as objects and
+encodes nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import json
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -43,7 +47,10 @@ from repro import obs
 from repro.errors import StorageError, WALCorruptionError
 from repro.storage import faults
 from repro.storage.durable import (
+    ColumnBlock,
     atomic_write_bytes,
+    decode_block,
+    encode_block,
     encode_frame,
     json_decode_value,
     json_encode_value,
@@ -59,6 +66,9 @@ _VALID_OPS = frozenset({OP_INSERT, OP_UPDATE, OP_DELETE})
 _MAGIC = b"RWAL2\x00"
 _HEADER = struct.Struct("<QI")  # start_seq, crc32(magic + start_seq)
 HEADER_SIZE = len(_MAGIC) + _HEADER.size
+#: prefix of an insert record: tag byte, owning transaction
+_BLOCK_RECORD = struct.Struct("<cQ")
+_BLOCK_TAG = b"B"
 
 
 def _header_bytes(start_seq: int) -> bytes:
@@ -82,18 +92,26 @@ def _parse_header(data: bytes, path: Path) -> int:
 
 @dataclass
 class LogEntry:
-    """One mutation: operation, table, payload, owning transaction."""
+    """One mutation call: operation, table, payload, owning transaction.
+
+    An insert's payload is the :class:`~repro.storage.durable.ColumnBlock`
+    of the rows it stored; an update's or delete's is a row record dict.
+    """
 
     txn_id: int
     op: str
     table: str
-    payload: dict
+    payload: "dict | ColumnBlock"
     committed: bool = False
     #: position in the global record sequence (0 = never persisted)
     seq: int = 0
 
-    def to_json(self) -> str:
-        """Serialise for the on-disk log (dates kept round-trippable)."""
+    def encode(self) -> bytes:
+        """The on-disk record (dates in row records kept round-trippable)."""
+        if self.op == OP_INSERT:
+            return _BLOCK_RECORD.pack(_BLOCK_TAG, self.txn_id) + encode_block(
+                self.payload
+            )
         return json.dumps(
             {
                 "t": "e",
@@ -103,22 +121,8 @@ class LogEntry:
                 "payload": {
                     k: json_encode_value(v) for k, v in self.payload.items()
                 },
-                "committed": self.committed,
             }
-        )
-
-    @classmethod
-    def from_json(cls, line: str) -> "LogEntry":
-        raw = json.loads(line)
-        return cls(
-            txn_id=raw["txn"],
-            op=raw["op"],
-            table=raw["table"],
-            payload={
-                k: json_decode_value(v) for k, v in raw["payload"].items()
-            },
-            committed=raw.get("committed", False),
-        )
+        ).encode("utf-8")
 
 
 class WriteAheadLog:
@@ -150,16 +154,32 @@ class WriteAheadLog:
         self._next_txn += 1
         return txn_id
 
-    def append(self, txn_id: int, op: str, table: str, payload: dict) -> None:
-        """Record one mutation belonging to an open transaction."""
+    def append(
+        self, txn_id: int, op: str, table: str, payload: "dict | ColumnBlock"
+    ) -> None:
+        """Record one mutation belonging to an open transaction.
+
+        An insert takes the :class:`~repro.storage.durable.ColumnBlock` of
+        the rows it stored and is written as one block frame; an update or
+        delete takes a row record dict.  Only a file-backed log encodes.
+        """
         if op not in _VALID_OPS:
             raise StorageError(f"unknown WAL operation {op!r}")
-        entry = LogEntry(txn_id, op, table, dict(payload))
+        if (op == OP_INSERT) != isinstance(payload, ColumnBlock):
+            raise StorageError(
+                "an insert is logged as a column block, an update or a "
+                f"delete as a row record (got {op!r} with "
+                f"{type(payload).__name__})"
+            )
+        if op != OP_INSERT:
+            payload = dict(payload)
+        entry = LogEntry(txn_id, op, table, payload)
         entry.seq = self._alloc_seq()
         obs.count("storage.wal.append")
-        started = time.perf_counter()
-        self._write_frame(entry.to_json().encode("utf-8"), entry.seq, "wal.append")
-        obs.observe("storage.wal.append_s", time.perf_counter() - started)
+        if self._path is not None:
+            started = time.perf_counter()
+            self._write_frame(entry.encode(), entry.seq, "wal.append")
+            obs.observe("storage.wal.append_s", time.perf_counter() - started)
         self._entries.append(entry)
         self._by_txn.setdefault(txn_id, []).append(entry)
 
@@ -299,8 +319,6 @@ class WriteAheadLog:
         return self._fh
 
     def _write_frame(self, payload: bytes, seq: int, point: str) -> None:
-        if self._path is None:
-            return
         self._check_alive()
         handle = self._ensure_handle()
         frame = encode_frame(payload, seq)
@@ -360,9 +378,6 @@ class WriteAheadLog:
         data = file_path.read_bytes()
         if not data:
             return wal
-        if data[:1] in (b"{",):
-            wal._load_legacy(data, file_path)
-            return wal
         if not data.startswith(_MAGIC):
             raise WALCorruptionError(
                 f"{file_path}: not a WAL file (bad magic {data[:6]!r})"
@@ -388,10 +403,28 @@ class WriteAheadLog:
                     f"found {frame.seq})"
                 )
             expected_seq += 1
-            record = json.loads(frame.payload.decode("utf-8"))
-            if record["t"] == "c":
-                committed_txns.add(record["txn"])
-            elif record["t"] == "e":
+            if frame.payload[:1] == _BLOCK_TAG:
+                _, txn_id = _BLOCK_RECORD.unpack_from(frame.payload)
+                try:
+                    block = decode_block(
+                        memoryview(frame.payload)[_BLOCK_RECORD.size:]
+                    )
+                except ValueError as exc:
+                    raise WALCorruptionError(
+                        f"{file_path}: record {frame.seq}: {exc}"
+                    ) from None
+                entry = LogEntry(
+                    txn_id, OP_INSERT, block.table, block, seq=frame.seq
+                )
+            else:
+                record = json.loads(frame.payload.decode("utf-8"))
+                if record["t"] == "c":
+                    committed_txns.add(record["txn"])
+                    continue
+                if record["t"] != "e":
+                    raise WALCorruptionError(
+                        f"{file_path}: unknown record type {record['t']!r}"
+                    )
                 entry = LogEntry(
                     txn_id=record["txn"],
                     op=record["op"],
@@ -402,12 +435,8 @@ class WriteAheadLog:
                     },
                     seq=frame.seq,
                 )
-                wal._entries.append(entry)
-                wal._by_txn.setdefault(entry.txn_id, []).append(entry)
-            else:
-                raise WALCorruptionError(
-                    f"{file_path}: unknown record type {record['t']!r}"
-                )
+            wal._entries.append(entry)
+            wal._by_txn.setdefault(entry.txn_id, []).append(entry)
         for entry in wal._entries:
             if entry.txn_id in committed_txns:
                 entry.committed = True
@@ -419,28 +448,3 @@ class WriteAheadLog:
             wal._next_txn = max(wal._next_txn, max(committed_txns) + 1)
         wal._initialized = True
         return wal
-
-    def _load_legacy(self, data: bytes, file_path: Path) -> None:
-        """Version-1 compatibility: JSON lines, then upgrade in place."""
-        for line in data.decode("utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            entry = LogEntry.from_json(line)
-            entry.seq = self._alloc_seq()
-            self._entries.append(entry)
-            self._by_txn.setdefault(entry.txn_id, []).append(entry)
-        if self._entries:
-            self._next_txn = max(e.txn_id for e in self._entries) + 1
-        # Rewrite in the framed format so future appends share one path.
-        out = bytearray(_header_bytes(1))
-        committed_txns = []
-        for entry in self._entries:
-            out += encode_frame(entry.to_json().encode("utf-8"), entry.seq)
-            if entry.committed and entry.txn_id not in committed_txns:
-                committed_txns.append(entry.txn_id)
-        for txn_id in committed_txns:
-            mark = json.dumps({"t": "c", "txn": txn_id}).encode("utf-8")
-            out += encode_frame(mark, self._alloc_seq())
-        atomic_write_bytes(file_path, bytes(out), point="wal.upgrade")
-        self._initialized = True

@@ -4,11 +4,14 @@ Ingesting one clean 60-row × 277-column batch into a durable system must
 cost work proportional to the batch: no snapshot rewrite (the WAL commit
 already made the batch durable and the log is far smaller than the newest
 generation), no per-cell ``Column.value`` round trip in the row↔column
-conversions, and no per-row re-fetch of what ``insert`` just stored.  A
-refactor that reintroduces a per-cell loop or a per-batch rewrite fails
-here, loudly, long before a benchmark run would notice.
+conversions, no per-row re-fetch of what ``insert`` just stored, and no
+per-cell validation or per-row log record: the storage engine checks a
+batch once per column and logs it as one column block.  A refactor that
+reintroduces a per-cell loop or a per-batch rewrite fails here, loudly,
+long before a benchmark run would notice.
 """
 
+import sys
 from collections import Counter
 
 import pytest
@@ -18,49 +21,91 @@ from repro.discri.generator import DiScRiGenerator, offset_identifiers
 from repro.discri.warehouse import discri_pipeline
 from repro.etl.pipeline import DeriveStep
 from repro.etl.quarantine import ListSink
-from repro.storage import persistence
+from repro.storage import persistence, wal
 from repro.storage.engine import StorageEngine
+from repro.tabular import dtypes
 from repro.tabular.column import Column
 from repro.tabular.table import Table
 
 BATCH_ROWS = 60
+COLUMNS = 277
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Call counts of the three functions the guard watches."""
+    """Call counts of the functions the guard watches."""
     counts: Counter = Counter()
 
-    def counted(owner, attr, label):
-        original = getattr(owner, attr)
+    def counted(owner, attr, label, original=None):
+        original = original or getattr(owner, attr)
 
         def wrapper(*args, **kwargs):
             counts[label] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(owner, attr, wrapper)
+        # raising=False: a per-row validator that no longer exists is
+        # installed (and must stay uncalled) rather than skipped
+        monkeypatch.setattr(owner, attr, wrapper, raising=False)
 
     counted(persistence, "_save_snapshot", "save_snapshot")
     counted(Column, "value", "column_value")
     counted(StorageEngine, "get_by_pk", "get_by_pk")
+    counted(
+        StorageEngine, "_validate_row", "validate_row",
+        original=getattr(StorageEngine, "_validate_row", lambda *a: None),
+    )
+    counted(wal, "encode_frame", "wal_frames")
+    # every module that imported coerce_value by name holds its own binding
+    coerce_value = dtypes.coerce_value
+    for module in list(sys.modules.values()):
+        if getattr(module, "coerce_value", None) is coerce_value:
+            counted(module, "coerce_value", "coerce_value", coerce_value)
     return counts
 
 
-def test_one_clean_batch_costs_the_batch(tmp_path, calls):
+def _sources():
     source = DiScRiGenerator(n_patients=60, seed=7).generate()
     batch = offset_identifiers(
         DiScRiGenerator(n_patients=30, seed=99).generate(),
         max(source.column("patient_id").to_list()),
         max(source.column("visit_id").to_list()),
     ).head(BATCH_ROWS)
-    assert batch.num_rows == BATCH_ROWS and len(batch.column_names) == 277
+    assert batch.num_rows == BATCH_ROWS and len(batch.column_names) == COLUMNS
     assert source.num_rows > 2 * BATCH_ROWS  # the log stays under the snapshot
+    return source, batch
 
+
+def _assert_columnar(calls, phase):
+    assert calls["coerce_value"] <= COLUMNS, (
+        f"{phase}: {calls['coerce_value']} coerce_value calls for {COLUMNS} "
+        f"columns — values are validated per cell again"
+    )
+    assert calls["validate_row"] == 0, f"{phase}: rows validated one by one"
+
+
+def test_build_and_recover_validate_per_column(tmp_path, calls):
+    source, _ = _sources()
+    calls.clear()  # generating the cohort is not the build
+    DDDGMS(source, durable_root=tmp_path / "sys")
+    _assert_columnar(calls, f"build of {source.num_rows} rows")
+    calls.clear()
+    recovered = DDDGMS.recover(tmp_path / "sys")
+    assert recovered.operational_store.row_count("attendances") == source.num_rows
+    _assert_columnar(calls, f"recovery of {source.num_rows} rows")
+
+
+def test_one_clean_batch_costs_the_batch(tmp_path, calls):
+    source, batch = _sources()
     system = DDDGMS(source, durable_root=tmp_path / "sys")
     assert calls["save_snapshot"] == 2  # the build: operational + quarantine
     calls.clear()
 
     assert system.ingest_visits(batch, batch="y2") == BATCH_ROWS
+    _assert_columnar(calls, f"a {BATCH_ROWS}-row batch")
+    assert calls["wal_frames"] == 2, (
+        f"{calls['wal_frames']} WAL frames for one clean {BATCH_ROWS}-row "
+        f"batch: expected one column block and one commit"
+    )
 
     health = system.ingest_health()
     assert health["maintenance"]["delta_publishes"] == 1

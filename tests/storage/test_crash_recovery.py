@@ -1,7 +1,7 @@
 """Crash-recovery property suite: kill the process at every write boundary.
 
-A scripted workload (transactions, an abort, a mid-stream checkpoint)
-runs with a fault plan that simulates ``kill -9`` at the Nth hit of each
+A scripted workload (single-row and multi-row batch transactions, an
+abort, a mid-stream checkpoint) runs with a fault plan that simulates ``kill -9`` at the Nth hit of each
 named write boundary — WAL append, commit mark, fsync, snapshot temp
 write, rename, manifest write, WAL truncation.  After every crash,
 :func:`repro.storage.recover` must rebuild exactly the committed prefix:
@@ -30,6 +30,7 @@ from repro.storage.engine import StorageEngine
 from repro.storage.faults import FaultPlan, FaultRule, SimulatedCrash
 from repro.storage.persistence import checkpoint, recover
 from repro.storage.wal import HEADER_SIZE, WriteAheadLog
+from repro.tabular.table import Table
 
 SCHEMA = {"k": "int", "v": "str", "d": "date"}
 
@@ -77,6 +78,8 @@ class _Workload:
         self._txn([("insert", 1, "a", day),
                    ("insert", 2, "b", day),
                    ("insert", 3, "c", None)])
+        # one insert call over several rows: a single block frame
+        self._txn([("batch", [(6, "f", day), (7, "g", None), (8, "h", day)])])
         self._txn([("update", 2, "b2"),
                    ("delete", 3),
                    ("insert", 4, "d", day.replace(year=2014))])
@@ -90,6 +93,8 @@ class _Workload:
         checkpoint(self.db, self.root / "snaps")
         self._txn([("insert", 5, "e", None),
                    ("update", 1, "a2")])
+        self._txn([("batch", [(11, "k", None), (12, "l", day)]),
+                   ("update", 7, "g2")])
         self._txn([("delete", 2)])
 
 
@@ -98,6 +103,9 @@ def mutate_model(model: dict, ops) -> dict:
         if op[0] == "insert":
             _, k, v, d = op
             model[k] = (v, d)
+        elif op[0] == "batch":
+            for k, v, d in op[1]:
+                model[k] = (v, d)
         elif op[0] == "update":
             _, k, v = op
             model[k] = (v, model[k][1])
@@ -106,11 +114,20 @@ def mutate_model(model: dict, ops) -> dict:
     return model
 
 
+def _batch(rows) -> Table:
+    return Table.from_rows(
+        [{"k": k, "v": v, "d": d} for k, v, d in rows], schema=SCHEMA
+    )
+
+
 def apply_ops(db: StorageEngine, ops) -> None:
     for op in ops:
         if op[0] == "insert":
             _, k, v, d = op
             db.insert("t", {"k": k, "v": v, "d": d})
+        elif op[0] == "batch":
+            _, rejected = db.insert("t", _batch(op[1]))
+            assert rejected == []
         elif op[0] == "update":
             _, k, v = op
             row_id = next(iter(db._tables["t"].pk_index.lookup(k)))
@@ -218,10 +235,10 @@ def test_bit_flip_in_wal_is_reported_not_repaired(tmp_path):
     db = _fresh_store(tmp_path)
     plan = FaultPlan([FaultRule("wal.append", mode="flip", nth=1)])
     with faults.injected(plan):
-        with db.transaction():
-            db.insert("t", {"k": 1, "v": "x", "d": None})
+        with db.transaction():  # the flip lands inside a 40-row block frame
+            db.insert("t", _batch((k, "x", None) for k in range(1, 41)))
     with db.transaction():  # valid data lands after the corrupted record
-        db.insert("t", {"k": 2, "v": "y", "d": None})
+        db.insert("t", {"k": 100, "v": "y", "d": None})
     db.wal.close()
     with pytest.raises(WALCorruptionError, match="corrupt"):
         WriteAheadLog.load(tmp_path / "wal.log")
@@ -241,7 +258,7 @@ def test_recover_falls_back_past_corrupt_generation(tmp_path):
     generations = sorted((tmp_path / "snaps").glob("gen-*"))
     # vandalise the newest generation's data file
     newest = generations[-1]
-    victim = next(newest.glob("table_*.json"))
+    victim = next(newest.glob("table_*"))
     victim.write_bytes(b'{"truncated')
     db.wal.close()
     recovered = recover(tmp_path / "snaps", tmp_path / "wal.log")

@@ -1,17 +1,23 @@
-"""Tests for the durable file primitives (atomic writes, framing)."""
+"""Tests for the durable file primitives (atomic writes, framing, blocks)."""
 
 import datetime as dt
 import struct
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import ChecksumError, InjectedFault
 from repro.storage import faults
 from repro.storage.durable import (
     FRAME_OVERHEAD,
+    ColumnBlock,
     atomic_write_bytes,
     atomic_write_json,
     crc32_hex,
+    decode_block,
+    encode_block,
     encode_frame,
     json_decode_value,
     json_encode_value,
@@ -19,6 +25,8 @@ from repro.storage.durable import (
     verify_digest,
 )
 from repro.storage.faults import FaultPlan, FaultRule
+from repro.tabular.column import Column
+from repro.tabular.table import Table
 
 # synthetic atomic-write point used below ("p" fires "p.rename" too)
 faults.register_point("p")
@@ -141,3 +149,66 @@ class TestJsonValues:
     def test_plain_values_untouched(self):
         for value in (1, 1.5, "2013-04-08", None, True):
             assert json_decode_value(json_encode_value(value)) == value
+
+
+_CELLS = {
+    "int": st.integers(-(2**63), 2**63 - 1),
+    "float": st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, float("nan")]),
+    ),
+    "str": st.text(),
+    "bool": st.booleans(),
+    "date": st.dates(),
+}
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(0, 20))
+    names = draw(st.lists(st.text(min_size=1, max_size=4), unique=True, max_size=6))
+    columns = {}
+    for name in names:
+        dtype = draw(st.sampled_from(sorted(_CELLS)))
+        cells = draw(
+            st.lists(st.one_of(st.none(), _CELLS[dtype]), min_size=n, max_size=n)
+        )
+        columns[name] = Column.from_values(cells, dtype)
+    return Table(columns) if columns else Table({"k": Column.nulls("int", n)})
+
+
+class TestColumnBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(table=_tables(), name=st.text(max_size=5))
+    def test_round_trip_is_bit_exact(self, table, name):
+        row_ids = np.arange(5, 5 + table.num_rows, dtype=np.int64)
+        back = decode_block(encode_block(ColumnBlock(name, row_ids, table)))
+        assert back.table == name
+        assert back.row_ids.tolist() == row_ids.tolist()
+        assert back.rows.column_names == table.column_names
+        for column_name in table.column_names:
+            ours, theirs = table.column(column_name), back.rows.column(column_name)
+            assert theirs.dtype is ours.dtype
+            assert theirs.valid.tolist() == ours.valid.tolist()
+            valid = ours.valid
+            if ours.dtype.value == "str":
+                assert theirs.data[valid].tolist() == ours.data[valid].tolist()
+            else:  # NaN payloads and -0.0 included
+                assert theirs.data[valid].tobytes() == ours.data[valid].tobytes()
+
+    def test_decoded_columns_are_writable_copies(self):
+        table = Table({"x": Column.from_values([1.5, None], "float")})
+        back = decode_block(encode_block(ColumnBlock("t", np.arange(2), table)))
+        assert back.rows.column("x").data.flags.writeable
+
+    @pytest.mark.parametrize("damage", ["magic", "truncated", "trailing"])
+    def test_malformed_blocks_raise_value_error(self, damage):
+        table = Table({"x": Column.from_values([1, 2, 3], "int")})
+        data = encode_block(ColumnBlock("t", np.arange(3), table))
+        data = {
+            "magic": b"XXXX" + data[4:],
+            "truncated": data[:-5],
+            "trailing": data + b"\x00",
+        }[damage]
+        with pytest.raises(ValueError):
+            decode_block(data)

@@ -1,5 +1,8 @@
 """Tests for the storage engine: DDL, CRUD, transactions, constraints."""
 
+import datetime as dt
+import json
+
 import pytest
 
 from repro.errors import (
@@ -175,6 +178,27 @@ class TestTransactions:
         )
         replay_into(fresh, engine.wal)
         assert fresh.get_by_pk("patients", 7) is None
+
+
+class TestInMemoryLog:
+    def test_in_memory_log_serialises_nothing(self, monkeypatch):
+        """A log with no file keeps its entries as objects (the replay
+        tests above read them back) and never encodes one."""
+        dumps = []
+        original = json.dumps
+        monkeypatch.setattr(
+            json, "dumps", lambda *a, **k: dumps.append(1) or original(*a, **k)
+        )
+        db = StorageEngine()
+        db.create_table(
+            "t", {"k": "int", "v": "str", "when": "date"}, primary_key="k"
+        )
+        with db.transaction():
+            for k in range(50):
+                db.insert("t", {"k": k, "v": str(k), "when": dt.date(2013, 4, 8)})
+            db.update("t", 0, {"v": "changed"})
+        assert len(db.wal) == 51
+        assert dumps == []
 
 
 class TestLookups:

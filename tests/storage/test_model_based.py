@@ -5,13 +5,16 @@ sequences of inserts, updates, deletes and aborted transactions.  Any
 divergence — including index corruption after rollback — fails the run.
 
 A second machine (:class:`DurableEngineModel`) runs the same mutations on
-a file-backed engine and adds two rules: *checkpoint* (snapshot + WAL
-truncation) and *crash* (throw the live engine away and recover from disk
-alone).  The reference model never crashes, so the invariants prove that
-checkpoints and recovery are transparent at any point in any history.
+a file-backed engine over all five dtypes, adds column-batch inserts, and
+two more rules: *checkpoint* (snapshot + WAL truncation) and *crash*
+(throw the live engine away and recover from disk alone).  The reference
+model never crashes, so the invariants prove that checkpoints and
+recovery are transparent at any point in any history.
 """
 
+import datetime as dt
 import shutil
+import struct
 import tempfile
 from pathlib import Path
 
@@ -28,6 +31,8 @@ from repro.errors import IntegrityError
 from repro.storage.engine import StorageEngine
 from repro.storage.persistence import checkpoint, recover
 from repro.storage.wal import WriteAheadLog
+from repro.tabular.column import Column
+from repro.tabular.table import Table
 
 _KEYS = st.integers(1, 25)
 _VALUES = st.sampled_from(["a", "b", "c", None])
@@ -121,6 +126,49 @@ EngineModel.TestCase.settings = settings(
 TestEngineModel = EngineModel.TestCase
 
 
+_WIDE = {"k": "int", "v": "str", "f": "float", "b": "bool", "d": "date"}
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, float("nan")]),
+)
+_DATES = st.dates(dt.date(1990, 1, 1), dt.date(2030, 12, 31))
+
+
+def _cell(value):
+    """Compare floats by bit pattern: NaN payloads and -0.0 must survive."""
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    return value
+
+
+@st.composite
+def _batches(draw):
+    """A column batch: valid rows mixed with in-batch duplicate keys, null
+    keys and wrong-typed cells (floats as text, bools as out-of-range ints)."""
+    n = draw(st.integers(1, 6))
+
+    def column(values):
+        return draw(st.lists(st.one_of(st.none(), values), min_size=n, max_size=n))
+
+    keys = column(st.integers(1, 30))
+    values = column(st.sampled_from(["a", "b", "c"]))
+    floats_as_text = draw(st.booleans())
+    floats = column(
+        st.sampled_from(["1.5", "-0.0", "nan", "oops"])
+        if floats_as_text else _FLOATS
+    )
+    bools_as_ints = draw(st.booleans())
+    bools = column(st.integers(0, 2) if bools_as_ints else st.booleans())
+    dates = column(_DATES)
+    return Table({
+        "k": Column.from_values(keys, "int"),
+        "v": Column.from_values(values, "str"),
+        "f": Column.from_values(floats, "str" if floats_as_text else "float"),
+        "b": Column.from_values(bools, "int" if bools_as_ints else "bool"),
+        "d": Column.from_values(dates, "date"),
+    })
+
+
 class DurableEngineModel(RuleBasedStateMachine):
     """The same random transactions, now with checkpoints and crashes.
 
@@ -128,7 +176,8 @@ class DurableEngineModel(RuleBasedStateMachine):
     (snapshot + WAL truncate) or "crash" — drop the live engine and
     recover purely from the snapshot generations plus the WAL.  The
     dict reference never crashes, so every divergence is a durability
-    bug.
+    bug.  Batch inserts carry all five dtypes and a mix of good and bad
+    rows; the model keeps the first valid occurrence of each new key.
     """
 
     def __init__(self):
@@ -137,12 +186,11 @@ class DurableEngineModel(RuleBasedStateMachine):
         self.wal_path = self.workdir / "wal.log"
         self.snap_root = self.workdir / "snaps"
         self.engine = StorageEngine(WriteAheadLog(self.wal_path))
-        self.engine.create_table(
-            "t", {"k": "int", "v": "str"}, primary_key="k"
-        )
+        self.engine.create_table("t", _WIDE, primary_key="k")
         self.engine.create_index("t", "v")
         checkpoint(self.engine, self.snap_root)
-        self.model: dict[int, str | None] = {}
+        #: key -> (v, f, b, d), values as a scan returns them
+        self.model: dict[int, tuple] = {}
 
     keys = Bundle("keys")
 
@@ -161,8 +209,31 @@ class DurableEngineModel(RuleBasedStateMachine):
             return key
         with self.engine.transaction():
             self.engine.insert("t", {"k": key, "v": value})
-        self.model[key] = value
+        self.model[key] = (value, None, None, None)
         return key
+
+    @rule(batch=_batches())
+    def insert_batch(self, batch):
+        expected = dict(self.model)
+        for row in batch.to_rows():
+            key, f, b = row["k"], row["f"], row["b"]
+            if key is None or key in expected:
+                continue
+            if isinstance(f, str):
+                try:
+                    f = float(f)
+                except ValueError:
+                    continue
+            if b is not None and not isinstance(b, bool):
+                if b not in (0, 1):
+                    continue
+                b = bool(b)
+            expected[key] = (row["v"], f, b, row["d"])
+        with self.engine.transaction():
+            accepted, rejected = self.engine.insert("t", batch)
+        assert len(accepted) == len(expected) - len(self.model)
+        assert len(accepted) + len(rejected) == batch.num_rows
+        self.model = expected
 
     @rule(key=keys, value=_VALUES)
     def update(self, key, value):
@@ -170,7 +241,7 @@ class DurableEngineModel(RuleBasedStateMachine):
             return
         with self.engine.transaction():
             self.engine.update("t", self._row_id(key), {"v": value})
-        self.model[key] = value
+        self.model[key] = (value, *self.model[key][1:])
 
     @rule(key=keys)
     def delete(self, key):
@@ -203,16 +274,21 @@ class DurableEngineModel(RuleBasedStateMachine):
 
     @invariant()
     def rows_match_model(self):
-        rows = {row["k"]: row["v"] for row in self.engine.scan("t").to_rows()}
-        assert rows == self.model
+        rows = {
+            row["k"]: tuple(_cell(row[c]) for c in "vfbd")
+            for row in self.engine.scan("t").to_rows()
+        }
+        assert rows == {
+            k: tuple(_cell(x) for x in cells) for k, cells in self.model.items()
+        }
 
     @invariant()
     def indexes_match_model(self):
-        for key, value in self.model.items():
+        for key, cells in self.model.items():
             row = self.engine.get_by_pk("t", key)
-            assert row is not None and row["v"] == value
+            assert row is not None and row["v"] == cells[0]
         for value in ("a", "b", "c"):
-            expected = sorted(k for k, v in self.model.items() if v == value)
+            expected = sorted(k for k, c in self.model.items() if c[0] == value)
             found = sorted(row["k"] for row in self.engine.find("t", "v", value))
             assert found == expected
 

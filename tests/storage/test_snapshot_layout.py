@@ -1,4 +1,4 @@
-"""Snapshot generations, manifests, filename sanitisation, legacy layout."""
+"""Snapshot generations, manifests, filename sanitisation."""
 
 import json
 
@@ -52,7 +52,11 @@ class TestGenerations:
         db = _engine_with("t")
         gen = save(db, tmp_path)
         victim = gen / table_filename("t")
-        victim.write_text(victim.read_text().replace('"k": 0', '"k": 7'))
+        data = bytearray(victim.read_bytes())
+        # the block ends with column k's one <i8 value: rewrite 0 as 7
+        assert data[-8:] == (0).to_bytes(8, "little")
+        data[-8:] = (7).to_bytes(8, "little")
+        victim.write_bytes(bytes(data))
         with pytest.raises(ChecksumError, match="checksum mismatch"):
             load_generation(gen)
 
@@ -105,45 +109,3 @@ class TestNameSanitisation:
     def test_empty_table_name_rejected(self):
         with pytest.raises(StorageError, match="empty name"):
             table_filename("")
-
-
-class TestLegacyFlatLayout:
-    """Format-1 snapshots (flat dir, bare <table>.json) must still load."""
-
-    def _write_legacy(self, root):
-        root.mkdir(parents=True)
-        catalog = {
-            "visits": {
-                "schema": {"vid": "int", "when": "date"},
-                "primary_key": "vid",
-                "not_null": [],
-                "version": 1,
-                "foreign_keys": {},
-                "indexes": ["when"],
-            }
-        }
-        (root / "catalog.json").write_text(json.dumps(catalog))
-        rows = {
-            "0": {"vid": 1, "when": {"__date__": "2010-03-01"}},
-            "1": {"vid": 2, "when": None},
-        }
-        (root / "visits.json").write_text(json.dumps(rows))
-
-    def test_loads_via_compatibility_path(self, tmp_path):
-        self._write_legacy(tmp_path / "old")
-        loaded = load(tmp_path / "old")
-        assert loaded.row_count("visits") == 2
-        import datetime as dt
-
-        assert loaded.get_by_pk("visits", 1)["when"] == dt.date(2010, 3, 1)
-        # the legacy index declaration is rebuilt
-        assert len(loaded.find("visits", "when", dt.date(2010, 3, 1))) == 1
-
-    def test_new_saves_upgrade_to_generations(self, tmp_path):
-        self._write_legacy(tmp_path / "old")
-        loaded = load(tmp_path / "old")
-        save(loaded, tmp_path / "old")
-        # generations now take precedence over the flat files
-        assert (tmp_path / "old" / "gen-00000001").is_dir()
-        again = load(tmp_path / "old")
-        assert again.row_count("visits") == 2

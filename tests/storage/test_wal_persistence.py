@@ -1,22 +1,39 @@
 """Tests for the write-ahead log and snapshots (incl. failure injection)."""
 
 import datetime as dt
-import json
 
+import numpy as np
 import pytest
 
 from repro.errors import StorageError, WALCorruptionError
 from repro.persistence import load, save
+from repro.storage.durable import ColumnBlock
 from repro.storage.engine import StorageEngine, replay_into
-from repro.storage.wal import HEADER_SIZE, LogEntry, WriteAheadLog
+from repro.storage.wal import HEADER_SIZE, WriteAheadLog
+from repro.tabular.table import Table
 from tests._persistence import raises_from
+
+
+def _block(*rows: dict, first_id: int = 0) -> ColumnBlock:
+    """An insert record's payload: the rows with consecutive row ids."""
+    ids = np.arange(first_id, first_id + len(rows), dtype=np.int64)
+    return ColumnBlock("t", ids, Table.from_rows(list(rows)))
+
+
+def _values(wal: WriteAheadLog, column: str = "a") -> list:
+    """One column across every committed insert block, in log order."""
+    return [
+        value
+        for entry in wal.committed_entries()
+        for value in entry.payload.rows.column(column).to_list()
+    ]
 
 
 class TestWAL:
     def test_commit_marks_entries(self):
         wal = WriteAheadLog()
         txn = wal.begin()
-        wal.append(txn, "insert", "t", {"a": 1})
+        wal.append(txn, "insert", "t", _block({"a": 1}))
         assert list(wal.committed_entries()) == []
         wal.commit(txn)
         assert len(list(wal.committed_entries())) == 1
@@ -24,7 +41,7 @@ class TestWAL:
     def test_rollback_discards(self):
         wal = WriteAheadLog()
         txn = wal.begin()
-        wal.append(txn, "insert", "t", {"a": 1})
+        wal.append(txn, "insert", "t", _block({"a": 1}))
         wal.rollback(txn)
         assert len(wal) == 0
 
@@ -33,22 +50,41 @@ class TestWAL:
         with pytest.raises(StorageError):
             wal.append(1, "upsert", "t", {})
 
+    def test_insert_is_logged_as_a_block_not_a_row_record(self):
+        wal = WriteAheadLog()
+        with pytest.raises(StorageError, match="column block"):
+            wal.append(1, "insert", "t", {"a": 1})
+        with pytest.raises(StorageError, match="row record"):
+            wal.append(1, "update", "t", _block({"a": 1}))
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "wal.log"
         wal = WriteAheadLog(path)
         txn = wal.begin()
-        wal.append(txn, "insert", "t", {"a": 1, "when": "2013-04-08"})
+        wal.append(txn, "insert", "t", _block({"a": 1, "when": "2013-04-08"}))
         wal.commit(txn)
         loaded = WriteAheadLog.load(path)
         entries = list(loaded.committed_entries())
-        assert entries[0].payload["a"] == 1
+        assert entries[0].payload.rows.row(0) == {"a": 1, "when": "2013-04-08"}
+        assert entries[0].payload.row_ids.tolist() == [0]
         assert loaded.begin() == txn + 1
+
+    def test_one_insert_call_is_one_frame(self, tmp_path):
+        path = tmp_path / "wal.log"
+        wal = WriteAheadLog(path)
+        txn = wal.begin()
+        wal.append(txn, "insert", "t", _block(*({"a": i} for i in range(40))))
+        wal.commit(txn)
+        assert wal.last_seq == 2  # one block frame + one commit frame
+        loaded = WriteAheadLog.load(path)
+        assert len(loaded) == 1
+        assert _values(loaded) == list(range(40))
 
     def test_truncate(self, tmp_path):
         path = tmp_path / "wal.log"
         wal = WriteAheadLog(path)
         txn = wal.begin()
-        wal.append(txn, "insert", "t", {"a": 1})
+        wal.append(txn, "insert", "t", _block({"a": 1}))
         wal.commit(txn)
         wal.truncate()
         assert len(WriteAheadLog.load(path)) == 0
@@ -57,12 +93,12 @@ class TestWAL:
         path = tmp_path / "wal.log"
         wal = WriteAheadLog(path)
         txn = wal.begin()
-        wal.append(txn, "insert", "t", {"a": 1})
+        wal.append(txn, "insert", "t", _block({"a": 1}))
         wal.commit(txn)
         watermark = wal.last_seq
         wal.truncate()
         txn = wal.begin()
-        wal.append(txn, "insert", "t", {"a": 2})
+        wal.append(txn, "insert", "t", _block({"a": 2}, first_id=1))
         wal.commit(txn)
         loaded = WriteAheadLog.load(path)
         entries = list(loaded.committed_entries())
@@ -75,7 +111,7 @@ class TestWAL:
         wal = WriteAheadLog(path)
         txn = wal.begin()
         day = dt.date(2013, 4, 8)
-        wal.append(txn, "insert", "t", {"vid": 1, "when": day, "note": "x"})
+        wal.append(txn, "update", "t", {"row_id": 0, "when": day, "note": "x"})
         wal.commit(txn)
         loaded = WriteAheadLog.load(path)
         payload = next(loaded.committed_entries()).payload
@@ -90,6 +126,9 @@ class TestWAL:
         db.create_table("v", {"vid": "int", "when": "date"}, primary_key="vid")
         with db.transaction():
             db.insert("v", {"vid": 1, "when": dt.date(2010, 3, 1)})
+            db.insert("v", {"vid": 2, "when": dt.date(2010, 3, 2)})
+        with db.transaction():
+            db.update("v", 1, {"when": dt.date(2011, 1, 1)})
         db.wal.close()
         recovered = StorageEngine()
         recovered.create_table(
@@ -98,13 +137,14 @@ class TestWAL:
         replay_into(recovered, WriteAheadLog.load(wal_path))
         assert recovered.scan("v").to_rows() == db.scan("v").to_rows()
         assert recovered.get_by_pk("v", 1)["when"] == dt.date(2010, 3, 1)
+        assert recovered.get_by_pk("v", 2)["when"] == dt.date(2011, 1, 1)
 
     def test_torn_tail_is_truncated_in_place(self, tmp_path):
         path = tmp_path / "wal.log"
         wal = WriteAheadLog(path)
         for value in (1, 2):
             txn = wal.begin()
-            wal.append(txn, "insert", "t", {"a": value})
+            wal.append(txn, "insert", "t", _block({"a": value}, first_id=value))
             wal.commit(txn)
         wal.close()
         intact = path.stat().st_size
@@ -119,7 +159,7 @@ class TestWAL:
         wal = WriteAheadLog(path)
         for value in (1, 2):
             txn = wal.begin()
-            wal.append(txn, "insert", "t", {"a": value})
+            wal.append(txn, "insert", "t", _block({"a": value}, first_id=value))
             wal.commit(txn)
         wal.close()
         data = bytearray(path.read_bytes())
@@ -138,82 +178,14 @@ class TestWAL:
         path = tmp_path / "wal.log"
         wal = WriteAheadLog(path)
         txn = wal.begin()
-        wal.append(txn, "insert", "t", {"a": 1})
+        wal.append(txn, "insert", "t", _block({"a": 1}))
         wal.commit(txn)
         orphan = wal.begin()
-        wal.append(orphan, "insert", "t", {"a": 2})  # never committed
-        wal.close()
+        wal.append(orphan, "insert", "t", _block({"a": 2}, first_id=1))
+        wal.close()  # never committed
         loaded = WriteAheadLog.load(path)
-        assert [e.payload["a"] for e in loaded.committed_entries()] == [1]
+        assert _values(loaded) == [1]
         assert len(loaded) == 2  # the orphan is visible, just not committed
-
-
-class TestLegacyWALFormat:
-    """Version-1 logs (JSON lines) load and upgrade transparently."""
-
-    def _write_v1(self, path, entries):
-        lines = [
-            json.dumps(
-                {
-                    "txn": txn,
-                    "op": op,
-                    "table": table,
-                    "payload": payload,
-                    "committed": committed,
-                },
-                default=str,
-            )
-            for txn, op, table, payload, committed in entries
-        ]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    def test_v1_log_loads(self, tmp_path):
-        path = tmp_path / "wal.log"
-        self._write_v1(
-            path,
-            [
-                (1, "insert", "t", {"a": 1, "when": "2013-04-08"}, True),
-                (2, "insert", "t", {"a": 2}, False),
-            ],
-        )
-        wal = WriteAheadLog.load(path)
-        committed = list(wal.committed_entries())
-        assert len(committed) == 1 and committed[0].payload["a"] == 1
-        assert len(wal) == 2
-        assert wal.begin() == 3
-
-    def test_v1_log_is_upgraded_in_place(self, tmp_path):
-        path = tmp_path / "wal.log"
-        self._write_v1(path, [(1, "insert", "t", {"a": 1}, True)])
-        WriteAheadLog.load(path)
-        # the file is now in the framed format and loads through it
-        assert path.read_bytes().startswith(b"RWAL2")
-        again = WriteAheadLog.load(path)
-        assert [e.payload["a"] for e in again.committed_entries()] == [1]
-
-    def test_v1_stringified_dates_still_replay_into_date_columns(self, tmp_path):
-        """The historical lossy encoding coerces back through the schema."""
-        path = tmp_path / "wal.log"
-        self._write_v1(
-            path, [(1, "insert", "v", {"vid": 1, "when": "2010-03-01"}, True)]
-        )
-        engine = StorageEngine()
-        engine.create_table(
-            "v", {"vid": "int", "when": "date"}, primary_key="vid"
-        )
-        replay_into(engine, WriteAheadLog.load(path))
-        assert engine.get_by_pk("v", 1)["when"] == dt.date(2010, 3, 1)
-
-    def test_appending_after_upgrade_continues_the_log(self, tmp_path):
-        path = tmp_path / "wal.log"
-        self._write_v1(path, [(1, "insert", "t", {"a": 1}, True)])
-        wal = WriteAheadLog.load(path)
-        txn = wal.begin()
-        wal.append(txn, "insert", "t", {"a": 2})
-        wal.commit(txn)
-        wal.close()
-        loaded = WriteAheadLog.load(path)
-        assert [e.payload["a"] for e in loaded.committed_entries()] == [1, 2]
 
 
 @pytest.fixture()
