@@ -7,6 +7,7 @@ Commands:
 * ``mdx``      — run an MDX query against the cohort's cube (an
   ``EXPLAIN`` prefix prints the measured plan instead of the grid);
 * ``figures``  — print the paper's Fig 4/5/6 reproductions;
+* ``dictionary`` — write the attribute data dictionary;
 * ``stats``    — run the figure workload under tracing and print the
   metrics registry, ingest health, slow-query log and last span tree;
 * ``quarantine`` — list, inspect or re-drive dead-letter rows of a
@@ -23,10 +24,6 @@ Commands:
 * ``bench-partition`` — partitioned-storage harness: pruned-vs-full
   byte parity, zone-map scan speedup at 10x rows,
   and dict/RLE encoding memory savings; writes ``BENCH_partition.json``;
-* ``plan-bench`` — cost-based planning harness: workload-adaptive
-  materialization vs lattice-off and full-lattice on a skewed 80/20
-  workload, with a byte-parity route oracle; writes
-  ``BENCH_planner.json``;
 * ``sweep`` — chaos scenario sweep: the full closed loop (ingest, OLAP,
   mining, prediction, optimisation, feedback-fold) fleet-run under a
   fault matrix with crash isolation, per-scenario deadlines and a
@@ -386,22 +383,6 @@ def _cmd_bench_partition(args: argparse.Namespace) -> int:
     return 0 if payload["ok"] else 1
 
 
-def _cmd_plan_bench(args: argparse.Namespace) -> int:
-    from repro.planner.bench import format_summary, run_planner_bench
-
-    payload = run_planner_bench(
-        rows=args.rows,
-        queries=args.queries,
-        repeats=args.repeats,
-        budget_nodes=args.budget_nodes,
-        seed=args.seed,
-        out=args.out,
-    )
-    print(format_summary(payload))
-    print(f"full results written to {args.out}")
-    return 0 if payload["ok"] else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -602,36 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="result JSON path (default ./BENCH_partition.json)",
     )
     partition.set_defaults(func=_cmd_bench_partition)
-
-    plan = commands.add_parser(
-        "plan-bench",
-        help="cost-based planning harness: adaptive materialization vs "
-             "lattice-off and full-lattice on a skewed workload, with a "
-             "route-parity oracle; writes BENCH_planner.json",
-    )
-    plan.add_argument(
-        "--rows", type=int, default=24_000,
-        help="fact rows in the synthetic star (default 24000)",
-    )
-    plan.add_argument(
-        "--queries", type=int, default=300,
-        help="queries per workload pass (default 300)",
-    )
-    plan.add_argument(
-        "--repeats", type=int, default=3,
-        help="timing repeats per config, median-of (default 3)",
-    )
-    plan.add_argument(
-        "--budget-nodes", type=int, default=8,
-        help="adaptive materializer node budget (default 8)",
-    )
-    plan.add_argument("--seed", type=int, default=11,
-                      help="workload seed (default 11)")
-    plan.add_argument(
-        "--out", type=Path, default=Path("BENCH_planner.json"),
-        help="result JSON path (default ./BENCH_planner.json)",
-    )
-    plan.set_defaults(func=_cmd_plan_bench)
 
     sweep = commands.add_parser(
         "sweep",

@@ -37,7 +37,7 @@ from repro.olap.crosstab import Crosstab
 from repro.olap.cube import Cube, CubeRuntime, CubeSnapshot
 from repro.olap.mdx.evaluator import execute_mdx
 from repro.olap.query import QueryBuilder
-from repro.planner import PlannerConfig, QueryPlanner, coerce_planner, select_nodes
+from repro.planner import PlannerConfig, QueryPlanner, coerce_planner
 from repro.serving import resilience
 from repro.serving.admission import ServingConfig, ServingRuntime, coerce_serving
 from repro.serving.cache import CacheConfig, ResultCache, coerce_cache
@@ -63,10 +63,10 @@ from repro.warehouse.star import SnowflakeDimension
 #: to replay the closed loop after a crash.
 _FOLD_TABLE = "feedback_folds"
 
-#: default rows per OLTP ingest transaction of a system with a quarantine
-#: sink — small enough that a crash mid-batch loses little, large enough
-#: that the per-commit fsync amortises
-DEFAULT_INGEST_CHUNK_ROWS = 256
+#: rows per OLTP ingest transaction of a system with a quarantine sink —
+#: small enough that a crash mid-batch loses little, large enough that the
+#: per-commit fsync amortises
+INGEST_CHUNK_ROWS = 256
 
 
 def _insert_visits(
@@ -136,10 +136,10 @@ class SystemConfig:
     §"Cost-based planning"): ``True`` (the default) for a fresh planner
     with default knobs, a :class:`~repro.planner.PlannerConfig` for
     explicit ones, a ready :class:`~repro.planner.QueryPlanner` to share
-    a learned workload between systems, ``None``/``False`` to disable
-    recording and routing entirely.  While its statistics are cold the
-    planner changes nothing — answers and lattice hit counters are
-    identical to an unattached system.
+    learned route calibrations between systems, ``None``/``False`` to
+    disable recording and routing entirely.  While its statistics are
+    cold the planner changes nothing — answers and lattice hit counters
+    are identical to an unattached system.
     """
 
     observability: str = ""
@@ -182,7 +182,6 @@ class DDDGMS:
         *,
         durable_root: "str | Path | None" = None,
         quarantine=None,
-        ingest_chunk_rows: int = DEFAULT_INGEST_CHUNK_ROWS,
         incremental: bool = True,
         _operational: StorageEngine | None = None,
     ):
@@ -192,7 +191,6 @@ class DDDGMS:
         #: dead-letter sink for rows an ingest stage rejects; without one
         #: a rejected row's error aborts its batch (see :meth:`_intake`)
         self.quarantine = quarantine
-        self.ingest_chunk_rows = max(1, int(ingest_chunk_rows))
         #: whether ingest may publish O(batch) delta epochs instead of
         #: rebuilding the warehouse from scratch (it always *may* fall
         #: back; ``False`` forces the full rebuild on every batch)
@@ -204,13 +202,6 @@ class DDDGMS:
             "retags": 0,
             "last_fallback_reason": None,
             "fallback_reasons": {},
-            # adaptive-materialization ledger (policy="adaptive" only)
-            "planner": {
-                "adaptive_selections": 0,
-                "materialized_nodes": 0,
-                "evicted_nodes": 0,
-                "last_decision": None,
-            },
         }
         #: backoff schedule for transient faults at ingest boundaries
         #: (the shared registry default; see repro.storage.retry)
@@ -230,11 +221,6 @@ class DDDGMS:
         #: so a rebuilt successor cube serves with the same objects (the
         #: planner is on from the start: cold, it changes nothing)
         self.runtime = CubeRuntime(planner=QueryPlanner())
-        #: how materialize_lattice last chose its groups, re-applied on
-        #: every ingest rebuild ("fixed" or "adaptive")
-        self._lattice_policy: str = "fixed"
-        #: remembered adaptive-budget overrides (None -> planner config)
-        self._lattice_budgets: dict = {}
         with obs.span("dgms.build", rows=source.num_rows):
             fresh_store = _operational is None
             with obs.span("dgms.load_operational"):
@@ -316,7 +302,6 @@ class DDDGMS:
         *,
         quarantine=None,
         feedback_builders: Sequence[FeedbackDimensionBuilder] = (),
-        ingest_chunk_rows: int = DEFAULT_INGEST_CHUNK_ROWS,
     ) -> "DDDGMS":
         """Rebuild a durable system from disk after a crash.
 
@@ -339,7 +324,6 @@ class DDDGMS:
             promotion_threshold,
             durable_root=root,
             quarantine=quarantine,
-            ingest_chunk_rows=ingest_chunk_rows,
             _operational=engine,
         )
         by_name = {builder.name: builder for builder in feedback_builders}
@@ -431,14 +415,10 @@ class DDDGMS:
         """Attach (or detach, with ``None``) the cost-based query planner.
 
         Accepts every ``SystemConfig(planner=...)`` spelling.  The
-        workload statistics it learns describe the *system*, not one
-        epoch: every rebuilt cube shares the planner.  Detaching also
-        forgets an adaptive materialization policy (the selector cannot
-        run without recorded statistics).
+        route calibrations it learns describe the *system*, not one
+        epoch: every rebuilt cube shares the planner.
         """
         self.runtime.planner = coerce_planner(planner)
-        if self.runtime.planner is None and self._lattice_policy == "adaptive":
-            self._lattice_policy = "fixed"
         return self.runtime.planner
 
     @property
@@ -579,126 +559,24 @@ class DDDGMS:
         )
 
     def materialize_lattice(
-        self,
-        level_groups: Sequence[Sequence[str]] | None = None,
-        *,
-        policy: str = "fixed",
-        budget_nodes: int | None = None,
-        budget_cells: int | None = None,
-        min_gain_fraction: float | None = None,
+        self, level_groups: Sequence[Sequence[str]] | None = None
     ) -> "MaterializedCube":
         """Precompute aggregate lattice nodes and route queries through them.
 
-        ``policy="fixed"`` (the default) materialises the given groups —
-        or, with no argument, one node per figure-shaped roll-up (the
-        Fig 4–6 level combinations).  ``policy="adaptive"`` ignores
-        ``level_groups`` and instead asks the attached planner's
-        HRU-style greedy selector (:func:`repro.planner.select_nodes`)
-        to pick the nodes the *recorded workload* actually earns, under
-        a node/cell budget (overridable here, defaulting to the
-        planner's :class:`~repro.planner.PlannerConfig`).  A cold
-        workload selects nothing — queries keep answering from base
-        scans until statistics accumulate and the next materialisation.
-
-        Either way the policy and groups are remembered and re-applied
-        after every :meth:`ingest_visits` rebuild (adaptive re-runs the
-        selection against the then-current workload, so hot nodes follow
-        the traffic); the decisions land in ``maintenance["planner"]``
-        and :meth:`ingest_health`.
+        Materialises the given groups — or, with no argument, one node
+        per figure-shaped roll-up (the Fig 4–6 level combinations).  The
+        groups are remembered and re-materialised after every
+        :meth:`ingest_visits` rebuild.
         """
         from repro.olap.materialized import MaterializedCube
 
-        if policy not in ("fixed", "adaptive"):
-            raise OLAPError(
-                f"materialize_lattice policy must be 'fixed' or 'adaptive', "
-                f"got {policy!r}"
-            )
-        if policy == "adaptive":
-            if level_groups is not None:
-                raise OLAPError(
-                    "policy='adaptive' chooses its own level groups; drop "
-                    "level_groups or use policy='fixed'"
-                )
-            if self.runtime.planner is None:
-                raise OLAPError(
-                    "adaptive materialization needs an attached planner "
-                    "(SystemConfig(planner=...) or attach_planner(True))"
-                )
-            self._lattice_budgets = {
-                "budget_nodes": budget_nodes,
-                "budget_cells": budget_cells,
-                "min_gain_fraction": min_gain_fraction,
-            }
-            groups = self._select_adaptive_groups(self.cube)
-        elif level_groups is None:
-            groups = [list(group) for group in self.DEFAULT_LATTICE_GROUPS]
-        else:
-            groups = [list(group) for group in level_groups]
-        self._lattice_policy = policy
+        if level_groups is None:
+            level_groups = self.DEFAULT_LATTICE_GROUPS
+        groups = [list(group) for group in level_groups]
         lattice = MaterializedCube(self.cube).materialize(groups)
         self.cube.attach_lattice(lattice)
         self._lattice_groups = groups
         return lattice
-
-    def _select_adaptive_groups(self, cube: Cube) -> list[list[str]]:
-        """Run the greedy selector against the recorded workload.
-
-        Uses the given cube's current epoch for level availability and
-        cardinalities (during ingest that is the *staged* cube, so the
-        selection describes the epoch about to be published).  Records
-        the materialize/evict decision in ``maintenance["planner"]``.
-        """
-        planner = self.runtime.planner
-        assert planner is not None  # callers gate on the attached planner
-        cfg = planner.config
-        overrides = self._lattice_budgets
-        state = cube._current_state()
-        selection = select_nodes(
-            planner.stats,
-            planner.cost,
-            available_levels=state.qattrs,
-            cardinality=lambda level: len(state.flat.column(level).unique()),
-            flat_rows=state.num_rows,
-            budget_nodes=(
-                cfg.budget_nodes
-                if overrides.get("budget_nodes") is None
-                else overrides["budget_nodes"]
-            ),
-            budget_cells=(
-                cfg.budget_cells
-                if overrides.get("budget_cells") is None
-                else overrides["budget_cells"]
-            ),
-            min_gain_fraction=(
-                cfg.min_gain_fraction
-                if overrides.get("min_gain_fraction") is None
-                else overrides["min_gain_fraction"]
-            ),
-        )
-        self._record_lattice_decision(selection)
-        return selection.groups
-
-    def _record_lattice_decision(self, selection) -> None:
-        """Fold one adaptive selection into the maintenance ledger."""
-        previous = {tuple(g) for g in (self._lattice_groups or [])}
-        chosen = {tuple(g) for g in selection.groups}
-        materialized = sorted(chosen - previous)
-        evicted = sorted(previous - chosen)
-        ledger = self.maintenance["planner"]
-        ledger["adaptive_selections"] += 1
-        ledger["materialized_nodes"] += len(materialized)
-        ledger["evicted_nodes"] += len(evicted)
-        ledger["last_decision"] = {
-            "selected": [list(g) for g in selection.groups],
-            "materialized": [list(g) for g in materialized],
-            "evicted": [list(g) for g in evicted],
-            "budget_nodes": selection.budget_nodes,
-            "budget_cells": selection.budget_cells,
-            "est_cells_total": selection.est_cells_total,
-            "rejected": selection.rejected,
-            "report": list(selection.report),
-        }
-        obs.count("planner.adaptive.selections")
 
     #: figure-shaped roll-ups used by :meth:`materialize_lattice` default
     DEFAULT_LATTICE_GROUPS: tuple[tuple[str, ...], ...] = (
@@ -958,8 +836,8 @@ class DDDGMS:
         The only place ingest asks whether there is a quarantine sink,
         and what it decides is three values.  With a sink, a row the
         store rejects is diverted, the batch commits in chunks of
-        ``ingest_chunk_rows`` (a crash mid-batch loses little), and rows
-        whose ``visit_id`` already landed are skipped, so re-running an
+        :data:`INGEST_CHUNK_ROWS` (a crash mid-batch loses little), and
+        rows whose ``visit_id`` already landed are skipped, so re-running an
         interrupted batch resumes instead of duplicating.  Without one, a
         rejected row raises (the rule of
         :func:`~repro.etl.quarantine.divert`), the batch is one
@@ -980,7 +858,7 @@ class DDDGMS:
         if all_or_nothing:
             chunk_rows = offered
         else:
-            chunk_rows = self.ingest_chunk_rows
+            chunk_rows = INGEST_CHUNK_ROWS
             # a probe of the key index, no stored row is decoded
             positions = [
                 i
@@ -1221,15 +1099,8 @@ class DDDGMS:
         try:
             folded = self._with_retry("lattice.delta_merge", fold)
         except PermanentIngestError as exc:
-            self.cube.detach_lattice()
-            self.degraded["lattice"] = str(exc)
-            obs.count("ingest.degraded")
-            warnings.warn(
-                f"lattice delta-merge failed; queries fall back to "
-                f"un-materialised scans until the next successful ingest: "
-                f"{exc}",
-                RuntimeWarning,
-                stacklevel=4,
+            self._degrade_lattice(
+                self.cube, "lattice delta-merge", exc, stacklevel=4
             )
         else:
             self.cube.attach_lattice(folded)
@@ -1307,28 +1178,47 @@ class DDDGMS:
         The lattice is an accelerator, not ground truth — so a permanently
         failing re-materialisation detaches it and lets queries fall back
         to base-table scans, with a warning and a ``degraded`` flag,
-        rather than failing the whole ingest.
+        rather than failing the whole ingest.  During ingest ``cube`` is
+        the *staged* cube, so the lattice — like the flat view — is built
+        fully off to the side before the commit swap makes it visible.
         """
         if cube is None:
             cube = self.cube
         if self._lattice_groups is None:
             return
+        from repro.olap.materialized import MaterializedCube
+
+        def rematerialize():
+            lattice = MaterializedCube(cube).materialize(self._lattice_groups)
+            cube.attach_lattice(lattice)
+
         try:
-            self._with_retry(
-                "ingest.lattice", lambda: self._rematerialize_lattice(cube)
-            )
+            self._with_retry("ingest.lattice", rematerialize)
         except PermanentIngestError as exc:
-            cube.detach_lattice()
-            self.degraded["lattice"] = str(exc)
-            obs.count("ingest.degraded")
-            warnings.warn(
-                f"lattice re-materialisation failed; queries fall back to "
-                f"un-materialised scans until the next successful ingest: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
+            self._degrade_lattice(
+                cube, "lattice re-materialisation", exc, stacklevel=3
             )
         else:
             self.degraded.pop("lattice", None)
+
+    def _degrade_lattice(
+        self, cube: Cube, what: str, exc: PermanentIngestError, stacklevel: int
+    ) -> None:
+        """Detach ``cube``'s lattice after ``what`` failed for good.
+
+        Queries fall back to base-table scans; the ``degraded`` flag and
+        a warning (at the caller's ``stacklevel``) say so until the next
+        successful ingest clears it.
+        """
+        cube.detach_lattice()
+        self.degraded["lattice"] = str(exc)
+        obs.count("ingest.degraded")
+        warnings.warn(
+            f"{what} failed; queries fall back to un-materialised scans "
+            f"until the next successful ingest: {exc}",
+            RuntimeWarning,
+            stacklevel=stacklevel + 1,
+        )
 
     def _with_retry(self, point: str, fn):
         def on_retry(p: str, attempt: int, exc: BaseException, delay: float):
@@ -1403,14 +1293,9 @@ class DDDGMS:
             "maintenance": {
                 **self.maintenance,
                 "fallback_reasons": dict(self.maintenance["fallback_reasons"]),
-                "planner": dict(self.maintenance["planner"]),
             },
             "planner": (
-                {
-                    **runtime.planner.snapshot(),
-                    "lattice_policy": self._lattice_policy,
-                    "decisions": dict(self.maintenance["planner"]),
-                }
+                runtime.planner.snapshot()
                 if runtime.planner is not None
                 else None
             ),
@@ -1485,26 +1370,3 @@ class DDDGMS:
             self._checkpoint_if_durable()
             self.data_version += 1
         return report
-
-    def _rematerialize_lattice(self, cube: Cube | None = None) -> None:
-        """Rebuild the attached lattice over the given (or current) cube.
-
-        Called with the *staged* cube during ingest so the lattice — like
-        the flat view — is built fully off to the side before the commit
-        swap makes it visible.
-        """
-        if cube is None:
-            cube = self.cube
-        if self._lattice_groups is None:
-            return
-        from repro.olap.materialized import MaterializedCube
-
-        groups = self._lattice_groups
-        if self._lattice_policy == "adaptive" and self.runtime.planner is not None:
-            # re-run the selection against the workload recorded so far:
-            # hot nodes follow the traffic across ingest rebuilds, and
-            # nodes the workload no longer earns are evicted here
-            groups = self._select_adaptive_groups(cube)
-            self._lattice_groups = groups
-        lattice = MaterializedCube(cube).materialize(groups)
-        cube.attach_lattice(lattice)

@@ -3,9 +3,9 @@
 The paper's knowledge base is the long-lived artefact of the platform —
 findings accumulate across trials and years, so they must outlive any one
 process.  Plain JSON keeps the store reviewable by the curator; the file
-is replaced atomically (temp + fsync + rename) and format-2 files carry a
-CRC32 over the findings so silent corruption is detected on load.
-Format-1 files (no checksum) still load.
+is replaced atomically (temp + fsync + rename) and carries a CRC32 over
+the findings, so silent corruption is detected on load.  Only format 2
+loads, and a file without its checksum is refused.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.knowledge.kb import KnowledgeBase
 from repro.storage.durable import atomic_write_bytes, crc32_hex
 
 _FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = frozenset({1, 2})
 
 
 def _save_knowledge_base(kb: KnowledgeBase, path: str | Path) -> None:
@@ -70,21 +69,22 @@ def _load_knowledge_base(path: str | Path) -> KnowledgeBase:
             f"{file_path} is corrupt (not valid JSON): {exc}"
         )
     version = payload.get("format_version")
-    if version not in _SUPPORTED_VERSIONS:
+    if version != _FORMAT_VERSION:
         raise KnowledgeBaseError(
             f"unsupported knowledge-base format {version!r} "
-            f"(expected one of {sorted(_SUPPORTED_VERSIONS)})"
+            f"(expected {_FORMAT_VERSION})"
         )
     stored_checksum = payload.get("checksum")
-    if version >= 2 and stored_checksum is not None:
-        actual = crc32_hex(
-            json.dumps(payload["findings"], sort_keys=True).encode("utf-8")
+    if stored_checksum is None:
+        raise KnowledgeBaseError(f"{file_path} has no checksum to verify")
+    actual = crc32_hex(
+        json.dumps(payload["findings"], sort_keys=True).encode("utf-8")
+    )
+    if actual != stored_checksum:
+        raise KnowledgeBaseError(
+            f"{file_path} fails its checksum "
+            f"(stored {stored_checksum}, actual {actual})"
         )
-        if actual != stored_checksum:
-            raise KnowledgeBaseError(
-                f"{file_path} fails its checksum "
-                f"(stored {stored_checksum}, actual {actual})"
-            )
     kb = KnowledgeBase(promotion_threshold=payload["promotion_threshold"])
     for raw in payload["findings"]:
         finding = Finding(

@@ -41,7 +41,7 @@ from repro.warehouse.star import StarSchema
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.olap.materialized import MaterializedCube
     from repro.olap.query import QueryBuilder
-    from repro.planner import PlanSignature, QueryPlanner
+    from repro.planner import QueryPlanner
     from repro.serving.admission import ServingRuntime
     from repro.serving.cache import ResultCache
     from repro.storage.columnar import PartitionedStore, StorageConfig
@@ -231,7 +231,7 @@ class CubeRuntime:
     cache: "ResultCache | None" = None
     #: admission gate + default deadline for the query front-ends
     serving: "ServingRuntime | None" = None
-    #: workload statistics + cost-based routing (cold, it changes nothing)
+    #: route calibrations + cost-based routing (cold, it changes nothing)
     planner: "QueryPlanner | None" = None
     #: partitioning/encoding of every *future* epoch build
     storage: "StorageConfig | None" = None
@@ -250,8 +250,6 @@ class AggregatePlan(NamedTuple):
     key: Hashable
     #: the planner pinned for this query (None: route by the fixed preference)
     planner: "QueryPlanner | None"
-    #: planner signature of the request (None without a planner)
-    signature: "PlanSignature | None"
     #: zone-map row estimate for the base route (0 without a planner)
     base_rows: int
 
@@ -452,26 +450,21 @@ class _CubeReads:
 
         Everything later stages need is decided here and carried in the
         record: the qualified levels, the cache key, the planner pinned
-        for the query, and (under a planner) the request's signature and
-        the zone-map row estimate that routing, the ``scan.base``
-        estimate stamp and workload recording all share.
+        for the query, and (under a planner) the zone-map row estimate
+        that routing and the ``scan.base`` estimate stamp share.
         """
         qualified = tuple([self.check_level(level, state) for level in levels])
         aggregations = dict(
             aggregations or {self.RECORDS: (self.RECORDS, "size")}
         )
         planner = self.runtime.planner
-        signature, base_rows = None, 0
+        base_rows = 0
         if planner is not None:
-            signature = planner.classify(
-                qualified, aggregations, filters,
-                self.RECORDS, self.schema.fact.measures,
-            )
             base_rows = planner.estimate_base_rows(state, filters)
         return AggregatePlan(
             qualified, aggregations, filters, bool(force),
             plan_key(qualified, aggregations, filters, force),
-            planner, signature, base_rows,
+            planner, base_rows,
         )
 
     def _aggregate(
@@ -487,7 +480,7 @@ class _CubeReads:
 
         Linear, stage for stage (DESIGN.md §"The read pipeline"):
         **plan** once → **cache probe** → **route + execute** (a lattice
-        node, or the base scan) → **record** the workload → **cache
+        node, or the base scan) → **record** the route's cost → **cache
         put**.  The cache and lattice rungs each run behind
         :func:`_guarded` and degrade one rung down on dependency faults:
         a broken cache means recompute (never a failed query), a broken
@@ -525,16 +518,11 @@ class _CubeReads:
                 if ran is None:
                     ran = self._scan_base(plan, state)
 
-            # workload recording is unconditional under a planner (it is
-            # how the cost model calibrates); route *overrides* only
-            # start once it has seen enough of both routes
-            if plan.planner is not None:
-                if ran is not None:
-                    plan.planner.observe_route(ran.kind, ran.ms, ran.units)
-                plan.planner.note_query(
-                    plan.key, plan.signature, plan.base_rows,
-                    cache_hit=ran is None,
-                )
+            # every computed answer calibrates the planner's cost model;
+            # route *overrides* only start once it has seen enough of
+            # both routes
+            if plan.planner is not None and ran is not None:
+                plan.planner.observe_route(ran.kind, ran.ms, ran.units)
             result = cached if ran is None else ran.table
             sp.set(cells=result.num_rows)
             if ran is not None and cache is not None:
@@ -932,10 +920,10 @@ class Cube(_CubeReads):
         self.runtime.cache = cache
 
     def attach_planner(self, planner: "QueryPlanner | None") -> None:
-        """Record workload statistics and cost-route future queries.
+        """Record route costs and cost-route future queries.
 
-        Attached, every aggregate records its plan signature and
-        measured route cost into the planner's
+        Attached, every computed aggregate records its measured route
+        cost into the planner's
         :class:`~repro.planner.stats.WorkloadStats`, plans carry
         ``est_cost_ms`` next to the measured stage time, and — once the
         cost model is calibrated — the lattice routes each covered

@@ -31,7 +31,7 @@ from repro import obs
 from repro.errors import OLAPError
 from repro.olap.aggregates import validate_aggregation
 from repro.olap.cube import AggregatePlan, Cube, CubeState, Executed
-from repro.planner.router import choose_route
+from repro.planner.router import QueryPlanner, choose_route
 from repro.serving.resilience import checkpoint
 from repro.storage import faults
 from repro.tabular.expressions import Expression
@@ -309,8 +309,11 @@ class MaterializedCube:
                 # the caller and degrades the query to the base-scan rung
                 faults.fire("serving.scan")
                 checkpoint()
-                candidates = self._covering_nodes(
-                    plan.levels, plan.aggregations, plan.filters
+                # _nodes is kept smallest-first, so the candidates are too
+                candidates = QueryPlanner.classify(
+                    self._nodes, plan.levels, plan.aggregations,
+                    plan.filters, self.RECORDS,
+                    self.cube.schema.fact.measures,
                 )
                 decision = choose_route(
                     plan.planner,
@@ -356,36 +359,6 @@ class MaterializedCube:
                 table, "node", node.table.num_rows,
                 (time.perf_counter() - started) * 1000.0,
             )
-
-    def _covering_nodes(
-        self,
-        levels: Sequence[str],
-        aggregations: Mapping[str, tuple[str, str]],
-        filters: Expression | None = None,
-    ) -> list[_Node]:
-        """Every node able to answer the request, smallest-first.
-
-        ``_nodes`` is kept sorted by cell count; which entry answers (or
-        none) is the router's decision.  Empty when no node covers the
-        request.
-        """
-        wanted = set(levels)
-        if filters is not None:
-            wanted = wanted | set(filters.columns())
-        needed_measures = set()
-        for target, func in aggregations.values():
-            if func == "nunique":
-                return []  # distinct counts do not roll up
-            if target != self.RECORDS:
-                if target not in self.cube.schema.fact.measures:
-                    return []  # level-valued aggregation: use the base cube
-                needed_measures.add(target)
-        return [
-            node
-            for node in self._nodes
-            if wanted <= set(node.levels)
-            and needed_measures <= set(node.measures)
-        ]
 
     def _answer_from_node(
         self,

@@ -12,30 +12,26 @@ partial rollup     (same — a coarser query      (same node, rolled up)
 pruned base scan   zone-map estimated rows     only when nothing covers
 =================  ==========================  =======================
 
-While the cost model is cold the router reproduces the historical
-preference *exactly* (smallest covering node, else base scan), so a
-planner-attached cube with no recorded workload behaves byte- and
-counter-identically to one without a planner — :func:`choose_route` is
-the one place that preference is written down, and "no planner" is just
-its cold branch.  Decisions carry their estimate and reason into the
-``lattice.lookup`` span, where ``explain()`` shows them next to the
-measured time.
+Which nodes cover a request is written down once, in
+:meth:`QueryPlanner.classify`.  While the cost model is cold the router
+reproduces the historical preference *exactly* (smallest covering node,
+else base scan), so a planner-attached cube with no recorded samples
+behaves byte- and counter-identically to one without a planner —
+:func:`choose_route` is the one place that preference is written down,
+and "no planner" is just its cold branch.  Decisions carry their
+estimate and reason into the ``lattice.lookup`` span, where
+``explain()`` shows them next to the measured time.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Hashable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro import obs
 from repro.planner.cost import CostModel
-from repro.planner.stats import (
-    PlanSignature,
-    WorkloadStats,
-    classify_request,
-    estimate_base_rows,
-)
+from repro.planner.stats import WorkloadStats, estimate_base_rows
 from repro.serving.resilience import current_deadline
 
 
@@ -45,16 +41,10 @@ class PlannerConfig:
 
     ``min_samples`` is how many observed executions *per route kind*
     the cost model needs before the router may override the historical
-    route preference.  ``budget_nodes`` / ``budget_cells`` bound the
-    adaptive materializer's selection (see
-    :func:`repro.planner.adaptive.select_nodes`); ``min_gain_fraction``
-    is its diminishing-returns stop.
+    route preference.
     """
 
     min_samples: int = 5
-    budget_nodes: int = 4
-    budget_cells: int | None = None
-    min_gain_fraction: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -102,31 +92,42 @@ class QueryPlanner:
         #: routing decision counts by ``f"{kind}:{reason}"``
         self.route_counts: dict[str, int] = {}
 
-    # -- recording (hot path, every query) ------------------------------
+    # -- coverage and recording ----------------------------------------
 
+    @staticmethod
     def classify(
-        self,
+        nodes: Sequence,
         levels: Sequence[str],
         aggregations: Mapping[str, tuple[str, str]],
         filters,
         records: str,
         fact_measures,
-    ) -> PlanSignature:
-        """The request's :class:`PlanSignature` (see ``classify_request``)."""
-        return classify_request(
-            levels, aggregations, filters, records, fact_measures
-        )
+    ) -> list:
+        """The lattice nodes able to answer a request, in ``nodes`` order.
 
-    def note_query(
-        self,
-        key: Hashable,
-        signature: PlanSignature,
-        base_rows: int,
-        *,
-        cache_hit: bool = False,
-    ) -> None:
-        """Record one served request for the adaptive materializer."""
-        self.stats.note_query(key, signature, base_rows, cache_hit=cache_hit)
+        The one coverage rule.  A node answers when it materialises every
+        grouping level and filter column and every measure aggregated;
+        ``nunique`` (distinct counts do not roll up) and a level-valued
+        target (``target`` neither ``records`` nor a fact measure) are
+        answered by no node.  It reads only the request and the nodes,
+        so the lattice asks it with or without a planner attached.
+        """
+        wanted = set(levels)
+        if filters is not None:
+            wanted |= set(filters.columns())
+        measures: set[str] = set()
+        for target, func in aggregations.values():
+            if func == "nunique":
+                return []
+            if target != records:
+                if target not in fact_measures:
+                    return []
+                measures.add(target)
+        return [
+            node
+            for node in nodes
+            if wanted <= set(node.levels) and measures <= set(node.measures)
+        ]
 
     def observe_route(self, kind: str, ms: float, units: int) -> None:
         """Record one measured route execution for calibration."""
@@ -215,10 +216,6 @@ class QueryPlanner:
             "cost_model": self.cost.snapshot(),
             "workload": self.stats.snapshot(),
             "routes_chosen": routes,
-            "budget": {
-                "nodes": self.config.budget_nodes,
-                "cells": self.config.budget_cells,
-            },
         }
 
 

@@ -167,13 +167,7 @@ class ResultCache:
         return entry[0]
 
     def hit_rate(self) -> float:
-        """Lifetime hit rate — the planner's cache-interplay signal.
-
-        A workload the cache already answers gains little from
-        materialized aggregates, so the adaptive materializer discounts
-        plan frequencies by their observed cache hits; this global rate
-        is the health-surface summary of the same signal.
-        """
+        """Lifetime hit rate: hits over all lookups (0.0 before any)."""
         with self._lock:
             return self.stats.hit_rate
 

@@ -18,9 +18,8 @@ the warehouse is rebuilt from the operational stores through ETL), or
 the save completed and everything verifies.  Unlike the operational
 snapshot store, the warehouse keeps no fallback generations — it is
 derived state, so detection rather than rollback is the durability
-contract here.  Format-2 loads verify each digest before parsing;
-format-1 directories (no digests) still load via the compatibility
-branch.
+contract here.  Loads verify each digest before parsing; only format 2
+loads, and a manifest without digests is refused.
 
 Feedback dimensions persist like any other — their predicates are gone
 (they were only needed at fold time); the materialised keys are the data.
@@ -41,7 +40,6 @@ from repro.warehouse.fact import FactTable, Measure
 from repro.warehouse.star import StarSchema
 
 _FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = frozenset({1, 2})
 
 
 def _save_warehouse(
@@ -120,22 +118,21 @@ def _save_warehouse(
     )
 
 
-def _read_verified(path: Path, filename: str, digests: dict | None) -> str:
-    """Read one warehouse file, checking its digest when the format has one."""
+def _read_verified(path: Path, filename: str, digests: dict) -> str:
+    """Read one warehouse file, checking its digest from the manifest."""
     data = (path / filename).read_bytes()
-    if digests is not None:
-        expected = digests.get(filename)
-        if expected is None:
-            raise WarehouseError(
-                f"warehouse file {filename!r} fails integrity check: "
-                f"no digest recorded in schema.json"
-            )
-        actual = crc32_hex(data)
-        if actual != expected:
-            raise WarehouseError(
-                f"warehouse file {filename!r} fails integrity check: "
-                f"checksum mismatch (stored {expected}, actual {actual})"
-            )
+    expected = digests.get(filename)
+    if expected is None:
+        raise WarehouseError(
+            f"warehouse file {filename!r} fails integrity check: "
+            f"no digest recorded in schema.json"
+        )
+    actual = crc32_hex(data)
+    if actual != expected:
+        raise WarehouseError(
+            f"warehouse file {filename!r} fails integrity check: "
+            f"checksum mismatch (stored {expected}, actual {actual})"
+        )
     return data.decode("utf-8")
 
 
@@ -150,12 +147,16 @@ def _load_warehouse(directory: str | Path) -> DynamicWarehouse:
     except json.JSONDecodeError as exc:
         raise WarehouseError(f"{manifest_file} is not valid JSON: {exc}")
     version = manifest.get("format_version")
-    if version not in _SUPPORTED_VERSIONS:
+    if version != _FORMAT_VERSION:
         raise WarehouseError(
             f"unsupported warehouse format {version!r} "
-            f"(expected one of {sorted(_SUPPORTED_VERSIONS)})"
+            f"(expected {_FORMAT_VERSION})"
         )
-    digests = manifest.get("digests") if version >= 2 else None
+    digests = manifest.get("digests")
+    if not isinstance(digests, dict):
+        raise WarehouseError(
+            f"{manifest_file} fails integrity check: no digests recorded"
+        )
 
     dimensions: list[Dimension] = []
     for name, spec in manifest["dimensions"].items():

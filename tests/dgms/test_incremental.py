@@ -33,6 +33,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+from repro.dgms import system as system_module
 from repro.dgms.system import DDDGMS
 from repro.discri.generator import DiScRiGenerator, offset_identifiers
 from repro.etl.quarantine import QuarantineStore
@@ -189,12 +190,6 @@ class TestFallbackDecisionTable:
             "retags": 0,
             "last_fallback_reason": "incremental maintenance disabled",
             "fallback_reasons": {"incremental maintenance disabled": 1},
-            "planner": {
-                "adaptive_selections": 0,
-                "materialized_nodes": 0,
-                "evicted_nodes": 0,
-                "last_decision": None,
-            },
         }
 
     def test_back_dated_visit_forces_rebuild_then_delta_resumes(self):
@@ -223,9 +218,12 @@ class TestFallbackDecisionTable:
         assert system.maintenance["delta_publishes"] == 1
         _assert_twins_equal(system, model)
 
-    def test_interrupted_batch_disqualifies_delta_until_resync(self):
+    def test_interrupted_batch_disqualifies_delta_until_resync(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(system_module, "INGEST_CHUNK_ROWS", 8)
         source = _cohort()
-        system = DDDGMS(source, quarantine=QuarantineStore(), ingest_chunk_rows=8)
+        system = DDDGMS(source, quarantine=QuarantineStore())
         batch = _batch_for(source, n_patients=8)
         faults.install(FaultPlan([FaultRule("ingest.oltp", mode="kill", nth=2)]))
         with pytest.raises(SimulatedCrash):

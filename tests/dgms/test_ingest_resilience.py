@@ -12,6 +12,7 @@ import warnings
 
 import pytest
 
+from repro.dgms import system as system_module
 from repro.dgms.system import DDDGMS
 from repro.discri.generator import DiScRiGenerator, offset_identifiers
 from repro.errors import PermanentIngestError
@@ -38,6 +39,12 @@ STORAGE_BOUNDARIES = ["wal.append", "wal.commit"]
 def _clean_plan():
     yield
     faults.uninstall()
+
+
+@pytest.fixture()
+def small_chunks(monkeypatch):
+    """Commit OLTP ingest in 8-row chunks, so a crash can land mid-batch."""
+    monkeypatch.setattr(system_module, "INGEST_CHUNK_ROWS", 8)
 
 
 def _cohort():
@@ -85,12 +92,10 @@ class TestKillRecoverReingest:
         "boundary", INGEST_BOUNDARIES + STORAGE_BOUNDARIES
     )
     def test_recovery_matches_clean_single_pass(
-        self, boundary, clean_reference, tmp_path
+        self, boundary, clean_reference, tmp_path, small_chunks
     ):
         root = tmp_path / "sys"
-        system = DDDGMS(
-            clean_reference["source"], durable_root=root, ingest_chunk_rows=8
-        )
+        system = DDDGMS(clean_reference["source"], durable_root=root)
         system.fold_feedback(_builder())
         # nth=2 so the first crossing (and for chunked OLTP, the first
         # committed chunk) survives — a genuinely mid-batch crash
@@ -109,12 +114,12 @@ class TestKillRecoverReingest:
             clean_reference["dimensions"]
         )
 
-    def test_resumed_ingest_skips_landed_rows(self, clean_reference, tmp_path):
+    def test_resumed_ingest_skips_landed_rows(
+        self, clean_reference, tmp_path, small_chunks
+    ):
         """The committed chunk of an interrupted batch is not re-counted."""
         root = tmp_path / "sys"
-        system = DDDGMS(
-            clean_reference["source"], durable_root=root, ingest_chunk_rows=8
-        )
+        system = DDDGMS(clean_reference["source"], durable_root=root)
         faults.install(FaultPlan([FaultRule("ingest.oltp", mode="kill", nth=2)]))
         with pytest.raises(SimulatedCrash):
             system.ingest_visits(clean_reference["batch"], batch="y2")

@@ -100,12 +100,23 @@ def test_garbage_bytes_are_reported_as_corruption(tmp_path):
         load(path)
 
 
-def test_v1_file_without_checksum_still_loads(kb, tmp_path):
+def test_file_without_a_checksum_is_rejected(kb, tmp_path):
+    path = tmp_path / "kb.json"
+    save(kb, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["findings"][0]["statement"] = "silently altered claim"
+    del payload["checksum"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with raises_from(KnowledgeBaseError, "no checksum"):
+        load(path)
+
+
+def test_format_1_is_rejected_as_unsupported(kb, tmp_path):
     path = tmp_path / "kb.json"
     save(kb, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload["format_version"] = 1
     del payload["checksum"]
     path.write_text(json.dumps(payload), encoding="utf-8")
-    loaded = load(path)
-    assert len(loaded) == len(kb)
+    with raises_from(KnowledgeBaseError, "unsupported knowledge-base format 1"):
+        load(path)

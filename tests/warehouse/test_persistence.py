@@ -79,7 +79,7 @@ class TestRoundTrip:
 
 
 class TestDurability:
-    """Checksums, crashed saves, and the format-1 compatibility branch."""
+    """Checksums, crashed saves, and refused unverifiable manifests."""
 
     def test_tampered_dimension_file_names_the_file(self, fresh_built, tmp_path):
         import json
@@ -129,14 +129,29 @@ class TestDurability:
         with raises_from(WarehouseError, "integrity"):
             load(tmp_path / "wh")
 
-    def test_v1_manifest_without_digests_still_loads(self, fresh_built, tmp_path):
+    def _rewrite_manifest(self, directory, edit):
         import json
 
-        save(fresh_built.warehouse, tmp_path / "wh")
-        manifest_file = tmp_path / "wh" / "schema.json"
+        manifest_file = directory / "schema.json"
         manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
-        manifest["format_version"] = 1
-        del manifest["digests"]
+        edit(manifest)
         manifest_file.write_text(json.dumps(manifest), encoding="utf-8")
-        reloaded = load(tmp_path / "wh")
-        assert reloaded.schema.fact.measure("fbg").default_aggregation == "mean"
+
+    def test_manifest_without_digests_is_rejected(self, fresh_built, tmp_path):
+        save(fresh_built.warehouse, tmp_path / "wh")
+        self._rewrite_manifest(
+            tmp_path / "wh", lambda manifest: manifest.pop("digests")
+        )
+        with raises_from(WarehouseError, "no digests recorded"):
+            load(tmp_path / "wh")
+
+    def test_format_1_is_rejected_as_unsupported(self, fresh_built, tmp_path):
+        save(fresh_built.warehouse, tmp_path / "wh")
+
+        def downgrade(manifest):
+            manifest["format_version"] = 1
+            del manifest["digests"]
+
+        self._rewrite_manifest(tmp_path / "wh", downgrade)
+        with raises_from(WarehouseError, "unsupported warehouse format 1"):
+            load(tmp_path / "wh")
