@@ -37,6 +37,8 @@ from repro.storage.persistence import (
 from repro.storage.wal import WriteAheadLog
 
 _TABLE = "quarantine"
+#: the columns that make two entries the same entry
+_SEEN_KEY = ("step", "error_type", "row_json")
 _SCHEMA = {
     "entry_id": "int",
     "batch": "str",
@@ -116,13 +118,13 @@ def divert(
     )
 
 
-def _encode_row(row: dict) -> str:
+def _row_to_json(row: dict) -> str:
     return json.dumps(
         {k: json_encode_value(v) for k, v in row.items()}, sort_keys=True
     )
 
 
-def _decode_row(text: str) -> dict:
+def _row_from_json(text: str) -> dict:
     return {k: json_decode_value(v) for k, v in json.loads(text).items()}
 
 
@@ -198,15 +200,12 @@ class QuarantineStore:
                 self.root.mkdir(parents=True, exist_ok=True)
             self._engine = StorageEngine(wal) if wal is not None else StorageEngine()
             self._engine.create_table(_TABLE, _SCHEMA, primary_key="entry_id")
-        self._next_id = 1 + max(
-            (row["entry_id"] for row in self._engine.scan(_TABLE).iter_rows()),
-            default=0,
-        )
+        stored = self._engine.scan(_TABLE)
+        self._next_id = 1 + (stored.column("entry_id").max() or 0)
         #: identical entries are recorded once (re-runs must not duplicate)
-        self._seen: set[tuple] = {
-            (row["step"], row["error_type"], row["row_json"])
-            for row in self._engine.scan(_TABLE).iter_rows()
-        }
+        self._seen: set[tuple] = set(
+            zip(*(stored.column(c).to_list() for c in _SEEN_KEY))
+        )
 
     @classmethod
     def open(cls, root: str | Path) -> "QuarantineStore":
@@ -241,11 +240,11 @@ class QuarantineStore:
         already stored is not duplicated — re-running a rebuild over a
         partially-ingested batch must converge, not accumulate.
         """
-        row_json = _encode_row(entry.row)
+        row_json = _row_to_json(entry.row)
         key = (entry.step, entry.error_type, row_json)
         if key in self._seen:
             for existing in self.rows():
-                if (existing.step, existing.error_type, _encode_row(existing.row)) == key:
+                if (existing.step, existing.error_type, _row_to_json(existing.row)) == key:
                     entry.entry_id = existing.entry_id
                     return existing.entry_id
         entry.entry_id = self._next_id
@@ -276,20 +275,15 @@ class QuarantineStore:
 
     def remove(self, entry_ids: Iterable[int]) -> int:
         """Delete entries by id (after a successful re-drive)."""
-        doomed = set(entry_ids)
         removed = 0
-        stored = self._engine._tables[_TABLE]
-        targets = [
-            (row_id, row)
-            for row_id, row in sorted(stored.rows.items())
-            if row["entry_id"] in doomed
-        ]
         with self._engine.transaction():
-            for row_id, row in targets:
-                self._seen.discard(
-                    (row["step"], row["error_type"], row["row_json"])
-                )
-                self._engine.delete(_TABLE, row_id)
+            # entry ids grow with the store's row ids: this is row-id order
+            for entry_id in sorted(set(entry_ids)):
+                row = self._engine.get_by_pk(_TABLE, entry_id)
+                if row is None:
+                    continue
+                self._seen.discard(tuple(row[c] for c in _SEEN_KEY))
+                self._engine.delete_by_pk(_TABLE, entry_id)
                 removed += 1
         return removed
 
@@ -322,7 +316,7 @@ class QuarantineStore:
         for row in self._engine.scan(_TABLE).iter_rows():
             out.append(
                 QuarantinedRow(
-                    row=_decode_row(row["row_json"]),
+                    row=_row_from_json(row["row_json"]),
                     step=row["step"],
                     error_type=row["error_type"],
                     reason=row["reason"],

@@ -4,10 +4,10 @@ The paper's clinical environment has "flat file storage, multiple database
 vendors and different data models"; this package plays the role of those
 operational stores.  It provides named tables with declared schemas,
 CRUD inside transactions (an insert takes a whole column batch, validated
-per column and logged as one column block), hash and sorted indexes, a
-checksummed write-ahead log for durability, snapshot generations with
-verified manifests, and crash recovery (newest valid generation + WAL
-replay) with a pluggable fault-injection harness.
+per column, logged as one column block and kept as one column chunk),
+hash indexes, a checksummed write-ahead log for durability, snapshot
+generations with verified manifests, and crash recovery (newest valid
+generation + WAL replay) with a pluggable fault-injection harness.
 
 ::
 
@@ -26,7 +26,7 @@ replay) with a pluggable fault-injection harness.
 from repro.storage.engine import StorageEngine, replay_into
 from repro.storage.catalog import Catalog, TableMeta
 from repro.storage.faults import FaultPlan, FaultRule, SimulatedCrash
-from repro.storage.index import HashIndex, SortedIndex
+from repro.storage.index import HashIndex
 from repro.storage.wal import WriteAheadLog
 from repro.storage.persistence import (
     checkpoint,
@@ -40,7 +40,6 @@ __all__ = [
     "Catalog",
     "TableMeta",
     "HashIndex",
-    "SortedIndex",
     "WriteAheadLog",
     "replay_into",
     "checkpoint",

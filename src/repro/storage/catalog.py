@@ -1,4 +1,4 @@
-"""System catalog: table metadata and schema versioning."""
+"""System catalog: table metadata (schemas, keys, constraints)."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ class TableMeta:
     schema: dict[str, DType]
     primary_key: str | None = None
     not_null: frozenset[str] = frozenset()
-    #: monotonically increasing; bumped on every schema change
+    #: schema version, carried through snapshots
     version: int = 1
     #: foreign keys: local column -> (table, column)
     foreign_keys: dict[str, tuple[str, str]] = field(default_factory=dict)
@@ -49,7 +49,7 @@ class Catalog:
     """Registry of table metadata for one engine instance."""
 
     def __init__(self) -> None:
-        self._tables: dict[str, TableMeta] = {}
+        self._metas: dict[str, TableMeta] = {}
 
     def create(
         self,
@@ -60,7 +60,7 @@ class Catalog:
         foreign_keys: Mapping[str, tuple[str, str]] | None = None,
     ) -> TableMeta:
         """Register a new table; raises when the name is taken."""
-        if name in self._tables:
+        if name in self._metas:
             raise TableExistsError(f"table {name!r} already exists")
         meta = TableMeta(
             name=name,
@@ -77,33 +77,19 @@ class Catalog:
                     f"foreign key {name}.{local} references unknown column "
                     f"{ref_table}.{ref_col}"
                 )
-        self._tables[name] = meta
+        self._metas[name] = meta
         return meta
 
     def get(self, name: str) -> TableMeta:
         """Fetch metadata; raises :class:`TableNotFoundError` when absent."""
         try:
-            return self._tables[name]
+            return self._metas[name]
         except KeyError:
-            known = ", ".join(sorted(self._tables)) or "(none)"
+            known = ", ".join(sorted(self._metas)) or "(none)"
             raise TableNotFoundError(
                 f"table {name!r} not found (known tables: {known})"
             ) from None
 
-    def drop(self, name: str) -> None:
-        """Remove a table's metadata."""
-        self.get(name)
-        del self._tables[name]
-
     def names(self) -> list[str]:
         """All table names, sorted."""
-        return sorted(self._tables)
-
-    def add_column(self, name: str, column: str, dtype: DType | str) -> TableMeta:
-        """Schema evolution: add a nullable column, bumping the version."""
-        meta = self.get(name)
-        if column in meta.schema:
-            raise StorageError(f"column {column!r} already exists in {name!r}")
-        meta.schema[column] = DType.coerce(dtype)
-        meta.version += 1
-        return meta
+        return sorted(self._metas)

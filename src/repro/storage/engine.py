@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from contextlib import contextmanager
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -18,10 +19,10 @@ from repro.errors import (
 )
 from repro.storage.catalog import Catalog, TableMeta
 from repro.storage.durable import ColumnBlock
-from repro.storage.index import HashIndex, SortedIndex
+from repro.storage.index import HashIndex
 from repro.storage.wal import OP_DELETE, OP_INSERT, OP_UPDATE, WriteAheadLog
 from repro.tabular.column import Column
-from repro.tabular.dtypes import DType, coerce_value, ordinal_to_date
+from repro.tabular.dtypes import NULL_SENTINELS, DType, coerce_value
 from repro.tabular.table import Table
 
 #: ``(position in the batch, error)`` for each row an insert refused
@@ -35,25 +36,226 @@ def _storage_list(column: Column) -> list[object]:
     return column.to_list()
 
 
+def _stored_form(rows: Table) -> Table:
+    """``rows`` as a chunk keeps them: storage arrays, sentinels at nulls.
+
+    What a null slot's data holds is otherwise up to whoever built the
+    column; a chunk pins it so a snapshot of the same rows is the same
+    bytes however they arrived.
+    """
+    columns = {}
+    for name in rows.column_names:
+        column = rows.column(name)
+        data = column.data.astype(column.dtype.numpy_dtype, copy=False)
+        if not column.valid.all():
+            data = data.copy()
+            data[~column.valid] = NULL_SENTINELS[column.dtype]
+        columns[name] = (
+            column if data is column.data
+            else Column(column.dtype, data, column.valid)
+        )
+    return Table(columns)
+
+
+class _Chunks:
+    """A table's rows as immutable column chunks, in append order.
+
+    A chunk is a :class:`ColumnBlock` — accepted rows as a :class:`Table`
+    plus their int64 row ids.  Positions number the rows of all chunks in
+    append order; ``where`` maps each live row id to its position and
+    ``retired`` holds the positions of deleted rows and of rows an update
+    superseded.
+    """
+
+    def __init__(self) -> None:
+        self.blocks: list[ColumnBlock] = []
+        #: position of each chunk's first row
+        self.starts: list[int] = []
+        self.size = 0
+        self.where: dict[int, int] = {}
+        self.retired: set[int] = set()
+
+    def locate(self, position: int) -> tuple[ColumnBlock, int]:
+        """The chunk holding ``position`` and the row's index in it."""
+        i = bisect.bisect_right(self.starts, position) - 1
+        return self.blocks[i], position - self.starts[i]
+
+    def append(self, block: ColumnBlock) -> None:
+        start = self.size
+        self.size += len(block.row_ids)
+        self.blocks.append(block)
+        self.starts.append(start)
+        self.where.update(zip(block.row_ids.tolist(), range(start, self.size)))
+
+    def pop(self) -> ColumnBlock:
+        """Remove the newest chunk (its rows are all live)."""
+        block = self.blocks.pop()
+        self.size = self.starts.pop()
+        for row_id in block.row_ids.tolist():
+            del self.where[row_id]
+        return block
+
+
 class _StoredTable:
-    """Row store for one table: live rows keyed by internal row id."""
+    """One table: its rows (:class:`_Chunks`), ``pk`` mapping each primary
+    key to its row id, and the secondary hash indexes.
+
+    Chunks are never mutated: a delete retires a row's position, an
+    update retires it and appends a one-row chunk at the same row id.
+    Readers take ``self.rows`` once and use only that layout; a commit
+    replaces it whole (:meth:`compact`), so a read never sees a
+    half-replaced one.
+    """
 
     def __init__(self, meta: TableMeta):
         self.meta = meta
-        self.rows: dict[int, dict[str, object]] = {}
+        self.rows = _Chunks()
         self.next_row_id = 0
-        self.pk_index: HashIndex | None = (
-            HashIndex(meta.primary_key) if meta.primary_key else None
+        self.pk: dict[object, int] = {}
+        self.secondary: dict[str, HashIndex] = {}
+
+    def position(self, row_id: int, rows: _Chunks | None = None) -> int:
+        try:
+            return (self.rows if rows is None else rows).where[row_id]
+        except KeyError:
+            raise StorageError(
+                f"row {row_id} not found in table {self.meta.name!r}"
+            ) from None
+
+    def add(self, row_ids: list[int], rows: Table) -> None:
+        """Store ``rows`` at ``row_ids`` as a new chunk and index them."""
+        block = ColumnBlock(
+            self.meta.name, np.asarray(row_ids, dtype=np.int64), _stored_form(rows)
         )
-        self.secondary: dict[str, HashIndex | SortedIndex] = {}
+        self.rows.append(block)
+        self.index(row_ids, block.rows, add=True)
+
+    def drop_newest(self, row_ids: list[int]) -> None:
+        """Undo of :meth:`add`: the chunk holding ``row_ids`` is the newest."""
+        if row_ids:
+            self.index(row_ids, self.rows.pop().rows, add=False)
+
+    def retire(self, row_id: int) -> None:
+        position = self.rows.where.pop(row_id)
+        self.rows.retired.add(position)
+        self.index([row_id], self._keyed_row(position), add=False)
+
+    def revive(self, row_id: int, position: int) -> None:
+        self.rows.where[row_id] = position
+        self.rows.retired.discard(position)
+        self.index([row_id], self._keyed_row(position), add=True)
+
+    def index(self, row_ids: list[int], rows: Table, *, add: bool) -> None:
+        """Enter (or remove) ``rows`` in the primary-key and secondary
+        indexes, reading only the keyed columns."""
+        pk = self.meta.primary_key
+        if pk:
+            keys = _storage_list(rows.column(pk))
+            if add:
+                self.pk.update(zip(keys, row_ids))
+            else:
+                for key in keys:
+                    del self.pk[key]
+        for column, index in self.secondary.items():
+            values = _storage_list(rows.column(column))
+            if add:
+                index.add_many(values, row_ids)
+            else:
+                for value, row_id in zip(values, row_ids):
+                    index.remove(value, row_id)
+
+    def _keyed_row(self, position: int) -> Table:
+        block, i = self.rows.locate(position)
+        keyed = [self.meta.primary_key] if self.meta.primary_key else []
+        return Table(
+            {c: block.rows.column(c).take([i]) for c in keyed + list(self.secondary)}
+        )
+
+    def row(self, row_id: int) -> dict[str, object] | None:
+        """The live row ``row_id`` as a mapping (``None`` once deleted)."""
+        rows = self.rows
+        position = rows.where.get(row_id)
+        if position is None:
+            return None
+        block, i = rows.locate(position)
+        return block.rows.row(i)
+
+    def gather(self, row_ids: Iterable[int]) -> Table:
+        """The live rows ``row_ids``, in that order."""
+        rows = self.rows
+        positions = [self.position(row_id, rows) for row_id in row_ids]
+        if not positions:
+            return Table.empty(self.meta.schema)
+        pos = np.asarray(positions, dtype=np.int64)
+        first = bisect.bisect_right(rows.starts, int(pos.min())) - 1
+        last = bisect.bisect_right(rows.starts, int(pos.max()))
+        table = Table.concat_all([b.rows for b in rows.blocks[first:last]])
+        local = pos - rows.starts[first]
+        if len(local) == table.num_rows and (local == np.arange(len(local))).all():
+            return table
+        return table.take(local)
+
+    def fold(self) -> tuple[ColumnBlock, bool]:
+        """Every live row in row-id order, as one chunk — and whether any
+        row's position moved (a retired row dropped, or rows reordered)."""
+        rows = self.rows
+        if not rows.blocks:
+            empty = ColumnBlock(
+                self.meta.name, np.empty(0, dtype=np.int64),
+                Table.empty(self.meta.schema),
+            )
+            return empty, False
+        ids = np.concatenate([b.row_ids for b in rows.blocks])
+        order = None  # every position, in append order
+        if rows.retired:
+            order = np.delete(np.arange(rows.size), list(rows.retired))
+        live = ids if order is None else ids[order]
+        if len(live) > 1 and not (np.diff(live) > 0).all():
+            by_id = np.argsort(live, kind="stable")
+            order = by_id if order is None else order[by_id]
+        if order is None and len(rows.blocks) == 1:
+            return rows.blocks[0], False
+        table = Table.concat_all([b.rows for b in rows.blocks])
+        if order is None:
+            return ColumnBlock(self.meta.name, ids, table), False
+        return ColumnBlock(self.meta.name, ids[order], table.take(order)), True
+
+    def compact(self) -> None:
+        """Replace the chunks by their :meth:`fold`, in one assignment.
+
+        Run between transactions only: inside one, undo still addresses
+        the old positions.  Where no position moved, the id → position
+        map carries over as it is.
+        """
+        rows = self.rows
+        if len(rows.blocks) < 2 and not rows.retired:
+            return
+        block, moved = self.fold()
+        folded = _Chunks()
+        if moved:
+            folded.append(block)
+        else:
+            folded.blocks, folded.starts = [block], [0]
+            folded.size, folded.where = rows.size, rows.where
+        self.rows = folded
 
 
 class StorageEngine:
-    """A small single-process database with transactional row storage.
+    """A small single-process database with transactional column storage.
 
-    Mutations must run inside :meth:`transaction`; reads may run any time.
-    Rollback undoes every mutation of the failed transaction, and the WAL
-    records committed mutations for :func:`replay_into` recovery.
+    Each table keeps its rows as the typed column chunks its inserts
+    validated and logged — no per-row dicts: a full :meth:`scan` folds
+    the chunks into one :class:`Table` in row-id order, a
+    ``scan(row_ids=...)`` is a ``take``, and point lookups decode only
+    the rows they return.  Reads change nothing; each commit folds the
+    tables it left in several chunks back into one, so the chunk count
+    never grows with the batch count.  Chunks are never written in
+    place, so a table a scan returned stays valid after later writes.
+    Mutations must run inside :meth:`transaction`; reads may run any
+    time.  Rollback undoes every mutation of the failed transaction (it
+    drops the chunks the transaction appended and revives the rows it
+    retired), and the WAL records committed mutations for
+    :func:`replay_into` recovery.
     """
 
     def __init__(self, wal: WriteAheadLog | None = None):
@@ -83,30 +285,18 @@ class StorageEngine:
         self._tables[name] = _StoredTable(meta)
         return meta
 
-    def drop_table(self, name: str) -> None:
-        """Remove a table and its rows."""
-        self.catalog.drop(name)
-        del self._tables[name]
-
-    def add_column(self, name: str, column: str, dtype: DType | str) -> None:
-        """Add a nullable column; existing rows read back as null."""
-        self.catalog.add_column(name, column, dtype)
-
-    def create_index(self, table: str, column: str, kind: str = "hash") -> None:
-        """Build a secondary index over existing and future rows."""
+    def create_index(self, table: str, column: str) -> None:
+        """Build a secondary hash index over existing and future rows."""
         stored = self._stored(table)
         if column not in stored.meta.schema:
             raise StorageError(f"cannot index unknown column {table}.{column}")
         if column in stored.secondary:
             raise StorageError(f"index on {table}.{column} already exists")
-        if kind == "hash":
-            index: HashIndex | SortedIndex = HashIndex(column)
-        elif kind == "sorted":
-            index = SortedIndex(column)
-        else:
-            raise StorageError(f"unknown index kind {kind!r} (hash|sorted)")
-        for row_id, row in stored.rows.items():
-            index.add(row.get(column), row_id)
+        block, _ = stored.fold()
+        index = HashIndex(column)
+        index.add_many(
+            _storage_list(block.rows.column(column)), block.row_ids.tolist()
+        )
         stored.secondary[column] = index
 
     # ------------------------------------------------------------------
@@ -134,6 +324,8 @@ class StorageEngine:
         finally:
             self._txn_id = None
             self._undo = []
+        for stored in self._tables.values():
+            stored.compact()
 
     def _require_txn(self) -> int:
         if self._txn_id is None:
@@ -160,7 +352,8 @@ class StorageEngine:
         first otherwise-valid occurrence of a primary key wins.  A
         :class:`Table` returns ``(accepted row ids, [(position, error)])``;
         a mapping returns its row id or raises its error.  The rows it
-        stores are logged together as one column-block WAL record.
+        stores become one chunk of the table and are logged together as
+        one column-block WAL record.
 
         ``row_ids`` pins the internal ids instead of allocating the next
         ones — used by WAL replay so that physical row ids (which later
@@ -171,7 +364,7 @@ class StorageEngine:
         added: list[int] = []
         # Undo is registered before the WAL append so a failed append (e.g.
         # an injected fault) still rolls these rows back with the transaction.
-        self._undo.append(lambda: self._undo_inserts(stored, added))
+        self._undo.append(lambda: stored.drop_newest(added))
         kept, rejected = self._insert_batch(stored, rows, row_ids, added)
         if added:
             self.wal.append(
@@ -190,50 +383,44 @@ class StorageEngine:
         """Apply a partial update to one row."""
         txn = self._require_txn()
         stored = self._stored(table)
-        if row_id not in stored.rows:
-            raise StorageError(f"row {row_id} not found in table {table!r}")
-        old = dict(stored.rows[row_id])
-        merged = dict(old)
+        position = stored.position(row_id)
+        block, i = stored.rows.locate(position)
+        merged = block.rows.row(i)
         merged.update(changes)
-        _, records, errors = self._validate(stored.meta, merged)
+        columns, errors = self._validate(stored.meta, merged)
         if errors:
             raise errors[0]
-        clean = records[0]
+        clean = {name: _storage_list(c)[0] for name, c in columns.items()}
         pk = stored.meta.primary_key
-        if pk and clean.get(pk) != old.get(pk):
-            self._check_pk_unique(stored, clean)
+        if pk and stored.pk.get(clean[pk], row_id) != row_id:
+            raise IntegrityError(
+                f"duplicate primary key {clean[pk]!r} in table {table!r}"
+            )
         self._check_foreign_keys(stored.meta, clean)
-        self._index_remove(stored, row_id, old)
-        stored.rows[row_id] = clean
-        self._index_add(stored, row_id, clean)
-        self._undo.append(lambda: self._undo_update(stored, row_id, old))
+        stored.retire(row_id)
+        self._undo.append(lambda: stored.revive(row_id, position))
+        stored.add([row_id], Table(columns))
+        self._undo.append(lambda: stored.drop_newest([row_id]))
         self.wal.append(txn, OP_UPDATE, table, {"row_id": row_id, **clean})
 
     def update_by_pk(
         self, table: str, key: object, changes: Mapping[str, object]
     ) -> None:
         """Apply a partial update to the row with primary key ``key``."""
-        stored = self._stored(table)
-        if stored.pk_index is None:
-            raise StorageError(f"table {table!r} has no primary key")
-        key = coerce_value(key, stored.meta.schema[stored.meta.primary_key])
-        ids = stored.pk_index.lookup(key)
-        if not ids:
-            raise StorageError(
-                f"no row with primary key {key!r} in table {table!r}"
-            )
-        self.update(table, next(iter(ids)), changes)
+        self.update(table, self._row_id_by_pk(table, key), changes)
 
     def delete(self, table: str, row_id: int) -> None:
         """Delete one row by id."""
         txn = self._require_txn()
         stored = self._stored(table)
-        if row_id not in stored.rows:
-            raise StorageError(f"row {row_id} not found in table {table!r}")
-        old = stored.rows.pop(row_id)
-        self._index_remove(stored, row_id, old)
-        self._undo.append(lambda: self._undo_delete(stored, row_id, old))
+        position = stored.position(row_id)
+        stored.retire(row_id)
+        self._undo.append(lambda: stored.revive(row_id, position))
         self.wal.append(txn, OP_DELETE, table, {"row_id": row_id})
+
+    def delete_by_pk(self, table: str, key: object) -> None:
+        """Delete the row with primary key ``key``."""
+        self.delete(table, self._row_id_by_pk(table, key))
 
     # ------------------------------------------------------------------
     # Reads
@@ -248,33 +435,21 @@ class StorageEngine:
         """
         stored = self._stored(table)
         if row_ids is None:
-            row_ids = sorted(stored.rows)
-        try:
-            rows = [stored.rows[rid] for rid in row_ids]
-        except KeyError as exc:
-            raise StorageError(
-                f"row {exc.args[0]} not found in table {table!r}"
-            ) from None
-        return Table.from_rows(rows, schema=stored.meta.schema)
+            return stored.fold()[0].rows
+        return stored.gather(row_ids)
 
     def has_pk(self, table: str, key: object) -> bool:
-        """Whether a row with this primary key exists (an index probe)."""
-        stored = self._stored(table)
-        if stored.pk_index is None:
-            raise StorageError(f"table {table!r} has no primary key")
-        key = coerce_value(key, stored.meta.schema[stored.meta.primary_key])
-        return bool(stored.pk_index.lookup(key))
+        """Whether a row with this primary key exists (an index probe).
+
+        A key the primary-key column cannot hold is not present.
+        """
+        return self._pk_lookup(self._stored(table), key) is not None
 
     def get_by_pk(self, table: str, key: object) -> dict[str, object] | None:
         """Point lookup through the primary-key index."""
         stored = self._stored(table)
-        if stored.pk_index is None:
-            raise StorageError(f"table {table!r} has no primary key")
-        key = coerce_value(key, stored.meta.schema[stored.meta.primary_key])
-        ids = stored.pk_index.lookup(key)
-        if not ids:
-            return None
-        return self._decode_row(stored.meta, stored.rows[next(iter(ids))])
+        row_id = self._pk_lookup(stored, key)
+        return None if row_id is None else stored.row(row_id)
 
     def find(self, table: str, column: str, value: object) -> list[dict[str, object]]:
         """Equality lookup, via a secondary index when one exists."""
@@ -284,43 +459,18 @@ class StorageEngine:
         value = coerce_value(value, stored.meta.schema[column])
         index = stored.secondary.get(column)
         if index is not None:
-            ids = sorted(index.lookup(value))
-            return [self._decode_row(stored.meta, stored.rows[rid]) for rid in ids]
-        return [
-            self._decode_row(stored.meta, row)
-            for _, row in sorted(stored.rows.items())
-            if row.get(column) == value
-        ]
-
-    def find_range(
-        self, table: str, column: str, low: object = None, high: object = None
-    ) -> list[dict[str, object]]:
-        """Range lookup; requires (or falls back without) a sorted index."""
-        stored = self._stored(table)
-        if column not in stored.meta.schema:
-            raise StorageError(f"unknown column {table}.{column}")
-        dtype = stored.meta.schema[column]
-        low = coerce_value(low, dtype) if low is not None else None
-        high = coerce_value(high, dtype) if high is not None else None
-        index = stored.secondary.get(column)
-        if isinstance(index, SortedIndex):
-            ids = sorted(index.range(low=low, high=high))
-            return [self._decode_row(stored.meta, stored.rows[rid]) for rid in ids]
-        out = []
-        for _, row in sorted(stored.rows.items()):
-            value = row.get(column)
-            if value is None:
-                continue
-            if low is not None and value < low:  # type: ignore[operator]
-                continue
-            if high is not None and value > high:  # type: ignore[operator]
-                continue
-            out.append(self._decode_row(stored.meta, row))
-        return out
+            return stored.gather(sorted(index.lookup(value))).to_rows()
+        rows = stored.fold()[0].rows
+        found = rows.column(column)
+        if value is None:
+            mask = ~found.valid
+        else:
+            mask = found.valid & (found.data == value)
+        return rows.filter(mask).to_rows()
 
     def row_count(self, table: str) -> int:
         """Number of live rows."""
-        return len(self._stored(table).rows)
+        return len(self._stored(table).rows.where)
 
     def table_names(self) -> list[str]:
         """All table names, sorted."""
@@ -334,30 +484,37 @@ class StorageEngine:
         self.catalog.get(table)  # raises TableNotFoundError with known names
         return self._tables[table]
 
-    @staticmethod
-    def _decode_row(meta: TableMeta, row: dict[str, object]) -> dict[str, object]:
-        """Storage representation → Python values (dates back to dates).
+    def _block(self, table: str) -> ColumnBlock:
+        """Live rows in row-id order with their ids: a snapshot's table file."""
+        return self._stored(table).fold()[0]
 
-        Keeps point lookups consistent with ``scan()``, which decodes
-        through the Table layer.
-        """
-        out = dict(row)
-        for name, dtype in meta.schema.items():
-            value = out.get(name)
-            if value is not None and dtype is DType.DATE:
-                out[name] = ordinal_to_date(int(value))  # type: ignore[arg-type]
-        return out
+    def _pk_lookup(self, stored: _StoredTable, key: object) -> int | None:
+        pk = stored.meta.primary_key
+        if pk is None:
+            raise StorageError(f"table {stored.meta.name!r} has no primary key")
+        try:
+            key = coerce_value(key, stored.meta.schema[pk])
+        except DTypeError:
+            return None
+        return stored.pk.get(key)
+
+    def _row_id_by_pk(self, table: str, key: object) -> int:
+        row_id = self._pk_lookup(self._stored(table), key)
+        if row_id is None:
+            raise StorageError(
+                f"no row with primary key {key!r} in table {table!r}"
+            )
+        return row_id
 
     def _validate(
         self, meta: TableMeta, rows: "Table | Mapping[str, object]"
-    ) -> tuple[dict[str, Column], list[dict[str, object]], dict[int, ReproError]]:
+    ) -> tuple[dict[str, Column], dict[int, ReproError]]:
         """Check a batch column by column.
 
-        Returns the schema's columns in storage types, one row dict per
-        row built from them in bulk, and the error of every row that
-        fails — the first a per-row check would raise: unknown columns,
-        then, in schema order, a null in a not-null or key column or a
-        value the column's dtype cannot hold.
+        Returns the schema's columns in storage types and the error of
+        every row that fails — the first a per-row check would raise:
+        unknown columns, then, in schema order, a null in a not-null or
+        key column or a value the column's dtype cannot hold.
         """
         if isinstance(rows, Table):
             n = rows.num_rows
@@ -370,7 +527,7 @@ class StorageEngine:
             error = StorageError(
                 f"unknown columns {sorted(unknown)} for table {meta.name!r}"
             )
-            return {}, [], dict.fromkeys(range(n), error)
+            return {}, dict.fromkeys(range(n), error)
         errors: dict[int, ReproError] = {}
         columns: dict[str, Column] = {}
         for name, dtype in meta.schema.items():
@@ -386,9 +543,7 @@ class StorageEngine:
                         IntegrityError(f"column {meta.name}.{name} may not be null"),
                     )
             columns[name] = column
-        names = list(columns)
-        lists = [_storage_list(column) for column in columns.values()]
-        return columns, [dict(zip(names, row)) for row in zip(*lists)], errors
+        return columns, errors
 
     @staticmethod
     def _coerce(
@@ -413,41 +568,71 @@ class StorageEngine:
         row_ids: Sequence[int] | None,
         added: list[int],
     ) -> tuple[Table, Rejected]:
-        """Validate a batch, then store or refuse each row in position order.
+        """Validate a batch, decide each row in position order, store a chunk.
 
-        Appends each stored row's id to ``added`` as it goes (the caller's
-        undo reads it); returns the stored rows as typed columns and the
-        refused positions with their errors.
+        Only the key and foreign-key columns are read per row.  The
+        accepted rows become one chunk and their ids are appended to
+        ``added`` (the caller's undo reads it); returns the accepted rows
+        as typed columns and the refused positions with their errors.
+        Nothing is stored unless every decision succeeded.
         """
-        columns, records, errors = self._validate(stored.meta, rows)
+        meta = stored.meta
+        columns, errors = self._validate(meta, rows)
+        if not columns:
+            return Table({}), sorted(errors.items())
+        batch = Table(columns)
+        pk = meta.primary_key
+        keys = _storage_list(columns[pk]) if pk else None
+        references = {
+            local: _storage_list(columns[local]) for local in meta.foreign_keys
+        }
         pinned = None if row_ids is None else np.asarray(row_ids).tolist()
         kept: list[int] = []
-        for i, row in enumerate(records):
+        ids: list[int] = []
+        batch_pk: dict[object, int] = {}
+        taken: set[int] = set()
+        next_row_id = stored.next_row_id
+        for i in range(batch.num_rows):
             if i in errors:
                 continue
             try:
-                self._check_pk_unique(stored, row)
-                self._check_foreign_keys(stored.meta, row)
+                if keys is not None and (
+                    keys[i] in stored.pk or keys[i] in batch_pk
+                ):
+                    raise IntegrityError(
+                        f"duplicate primary key {keys[i]!r} in table "
+                        f"{meta.name!r}"
+                    )
+                if references:
+                    self._check_foreign_keys(
+                        meta,
+                        {local: values[i] for local, values in references.items()},
+                        batch_pk,
+                    )
             except ReproError as exc:
                 errors[i] = exc
                 continue
             if pinned is None:
-                row_id = stored.next_row_id
+                row_id = next_row_id
+                next_row_id += 1
             else:
                 row_id = pinned[i]
-                if row_id in stored.rows:
+                if row_id in stored.rows.where or row_id in taken:
                     raise StorageError(
                         f"row id {row_id} already occupied in table "
-                        f"{stored.meta.name!r}"
+                        f"{meta.name!r}"
                     )
-            stored.next_row_id = max(stored.next_row_id, row_id + 1)
-            stored.rows[row_id] = row
-            self._index_add(stored, row_id, row)
-            added.append(row_id)
+                taken.add(row_id)
+            if keys is not None:
+                batch_pk[keys[i]] = row_id
             kept.append(i)
-        batch = Table(columns)
+            ids.append(row_id)
         if len(kept) < batch.num_rows:
             batch = batch.take(kept)
+        if ids:
+            stored.add(ids, batch)
+            stored.next_row_id = max(next_row_id, max(ids) + 1)
+            added.extend(ids)
         return batch, sorted(errors.items())
 
     def _restore_block(self, block: ColumnBlock) -> None:
@@ -462,61 +647,34 @@ class StorageEngine:
         if rejected:
             raise rejected[0][1]
 
-    def _check_pk_unique(self, stored: _StoredTable, row: dict[str, object]) -> None:
-        if stored.pk_index is None:
-            return
-        key = row[stored.meta.primary_key]  # type: ignore[index]
-        if stored.pk_index.lookup(key):
-            raise IntegrityError(
-                f"duplicate primary key {key!r} in table {stored.meta.name!r}"
-            )
+    def _check_foreign_keys(
+        self,
+        meta: TableMeta,
+        row: Mapping[str, object],
+        pending: Container[object] = (),
+    ) -> None:
+        """Every non-null foreign key of ``row`` names a stored row.
 
-    def _check_foreign_keys(self, meta: TableMeta, row: dict[str, object]) -> None:
+        ``pending`` holds the keys accepted earlier in the same batch,
+        which a reference into the table's own primary key may name.
+        """
         for local, (ref_table, ref_col) in meta.foreign_keys.items():
             value = row.get(local)
             if value is None:
                 continue
             referenced = self._stored(ref_table)
-            if referenced.meta.primary_key == ref_col and referenced.pk_index:
-                found = bool(referenced.pk_index.lookup(value))
-            else:
-                found = any(
-                    r.get(ref_col) == value for r in referenced.rows.values()
+            if referenced.meta.primary_key == ref_col:
+                found = value in referenced.pk or (
+                    ref_table == meta.name and value in pending
                 )
+            else:
+                column = referenced.fold()[0].rows.column(ref_col)
+                found = value in _storage_list(column)
             if not found:
                 raise IntegrityError(
                     f"{meta.name}.{local}={value!r} has no match in "
                     f"{ref_table}.{ref_col}"
                 )
-
-    def _index_add(self, stored: _StoredTable, row_id: int, row: dict) -> None:
-        if stored.pk_index is not None:
-            stored.pk_index.add(row[stored.meta.primary_key], row_id)
-        for column, index in stored.secondary.items():
-            index.add(row.get(column), row_id)
-
-    def _index_remove(self, stored: _StoredTable, row_id: int, row: dict) -> None:
-        if stored.pk_index is not None:
-            stored.pk_index.remove(row[stored.meta.primary_key], row_id)
-        for column, index in stored.secondary.items():
-            index.remove(row.get(column), row_id)
-
-    def _undo_inserts(self, stored: _StoredTable, row_ids: list[int]) -> None:
-        for row_id in row_ids:
-            row = stored.rows.pop(row_id, None)
-            if row is not None:
-                self._index_remove(stored, row_id, row)
-
-    def _undo_update(self, stored: _StoredTable, row_id: int, old: dict) -> None:
-        current = stored.rows.get(row_id)
-        if current is not None:
-            self._index_remove(stored, row_id, current)
-        stored.rows[row_id] = old
-        self._index_add(stored, row_id, old)
-
-    def _undo_delete(self, stored: _StoredTable, row_id: int, old: dict) -> None:
-        stored.rows[row_id] = old
-        self._index_add(stored, row_id, old)
 
 
 def replay_into(

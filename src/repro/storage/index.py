@@ -1,8 +1,7 @@
-"""Secondary indexes: hash (equality) and sorted (range)."""
+"""Secondary index: value → row ids, for equality lookups."""
 
 from __future__ import annotations
 
-import bisect
 from typing import Iterable
 
 
@@ -22,6 +21,11 @@ class HashIndex:
         if value is None:
             return
         self._buckets.setdefault(value, set()).add(row_id)
+
+    def add_many(self, values: Iterable[object], row_ids: Iterable[int]) -> None:
+        """Index each row id under its value (null values are skipped)."""
+        for value, row_id in zip(values, row_ids):
+            self.add(value, row_id)
 
     def remove(self, value: object, row_id: int) -> None:
         """Drop one entry; harmless if absent."""
@@ -43,94 +47,3 @@ class HashIndex:
     def distinct_values(self) -> list[object]:
         """All indexed key values (unsorted)."""
         return list(self._buckets)
-
-
-class SortedIndex:
-    """Sorted (value, row_id) pairs supporting range scans.
-
-    Backed by two parallel lists kept in key order via ``bisect``; adequate
-    for the operational-store sizes this engine targets and easy to reason
-    about.  Null values are not indexed.
-    """
-
-    def __init__(self, column: str):
-        self.column = column
-        self._keys: list[object] = []
-        self._row_ids: list[int] = []
-
-    def add(self, value: object, row_id: int) -> None:
-        """Insert an entry keeping key order."""
-        if value is None:
-            return
-        pos = bisect.bisect_right(self._keys, value)
-        self._keys.insert(pos, value)
-        self._row_ids.insert(pos, row_id)
-
-    def remove(self, value: object, row_id: int) -> None:
-        """Drop one (value, row_id) entry; harmless if absent."""
-        if value is None:
-            return
-        lo = bisect.bisect_left(self._keys, value)
-        hi = bisect.bisect_right(self._keys, value)
-        for i in range(lo, hi):
-            if self._row_ids[i] == row_id:
-                del self._keys[i]
-                del self._row_ids[i]
-                return
-
-    def range(
-        self,
-        low: object = None,
-        high: object = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> list[int]:
-        """Row ids with key in the given (optionally open) interval."""
-        if low is None:
-            lo = 0
-        elif include_low:
-            lo = bisect.bisect_left(self._keys, low)
-        else:
-            lo = bisect.bisect_right(self._keys, low)
-        if high is None:
-            hi = len(self._keys)
-        elif include_high:
-            hi = bisect.bisect_right(self._keys, high)
-        else:
-            hi = bisect.bisect_left(self._keys, high)
-        return self._row_ids[lo:hi]
-
-    def lookup(self, value: object) -> set[int]:
-        """Row ids whose key equals ``value``."""
-        if value is None:
-            return set()
-        return set(self.range(low=value, high=value))
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def min_key(self) -> object:
-        """Smallest indexed key (``None`` when empty)."""
-        return self._keys[0] if self._keys else None
-
-    def max_key(self) -> object:
-        """Largest indexed key (``None`` when empty)."""
-        return self._keys[-1] if self._keys else None
-
-
-def build_hash_index(column: str, values: Iterable[object]) -> HashIndex:
-    """Bulk-build a hash index over enumerated values."""
-    index = HashIndex(column)
-    for row_id, value in enumerate(values):
-        index.add(value, row_id)
-    return index
-
-
-def build_sorted_index(column: str, values: Iterable[object]) -> SortedIndex:
-    """Bulk-build a sorted index over enumerated values."""
-    pairs = [(v, i) for i, v in enumerate(values) if v is not None]
-    pairs.sort(key=lambda p: (p[0], p[1]))  # type: ignore[arg-type]
-    index = SortedIndex(column)
-    index._keys = [p[0] for p in pairs]
-    index._row_ids = [p[1] for p in pairs]
-    return index

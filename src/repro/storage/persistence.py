@@ -50,12 +50,9 @@ import shutil
 import urllib.parse
 from pathlib import Path
 
-import numpy as np
-
 from repro import obs
 from repro.errors import DurabilityError, SnapshotError, StorageError
 from repro.storage.durable import (
-    ColumnBlock,
     atomic_write_bytes,
     crc32_hex,
     decode_block,
@@ -103,6 +100,7 @@ def _catalog_payload(engine: StorageEngine) -> dict:
     catalog = {}
     for name in engine.table_names():
         meta = engine.catalog.get(name)
+        stored = engine._stored(name)
         catalog[name] = {
             "schema": {k: v.value for k, v in meta.schema.items()},
             "primary_key": meta.primary_key,
@@ -111,20 +109,13 @@ def _catalog_payload(engine: StorageEngine) -> dict:
             "foreign_keys": {
                 k: list(v) for k, v in meta.foreign_keys.items()
             },
-            "indexes": sorted(engine._tables[name].secondary),
+            "indexes": sorted(stored.secondary),
             # Physical row ids must survive recovery: WAL update/delete
             # records reference them, so loads restore rows at their
             # original ids and the allocator continues where it left off.
-            "next_row_id": engine._tables[name].next_row_id,
+            "next_row_id": stored.next_row_id,
         }
     return catalog
-
-
-def _table_block(engine: StorageEngine, name: str) -> ColumnBlock:
-    row_ids = sorted(engine._tables[name].rows)
-    return ColumnBlock(
-        name, np.asarray(row_ids, dtype=np.int64), engine.scan(name, row_ids)
-    )
 
 
 def _save_snapshot(
@@ -170,7 +161,7 @@ def _save_snapshot(
         digests[_CATALOG] = crc32_hex(catalog_bytes)
         snapshot_bytes += len(catalog_bytes)
         for name in names:
-            data = encode_block(_table_block(engine, name))
+            data = encode_block(engine._block(name))
             atomic_write_bytes(
                 gen_dir / filenames[name], data, point="snapshot.data"
             )
@@ -251,7 +242,7 @@ def load_generation(gen_dir: str | Path) -> tuple[StorageEngine, dict]:
             k: tuple(v) for k, v in meta["foreign_keys"].items()
         }
         table_meta.version = meta["version"]
-        stored = engine._tables[name]
+        stored = engine._stored(name)
         stored.next_row_id = max(stored.next_row_id, meta["next_row_id"])
         for column in meta["indexes"]:
             engine.create_index(name, column)

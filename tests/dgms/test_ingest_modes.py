@@ -174,3 +174,22 @@ class TestDirtyBatchWithoutASink:
         assert health["resilient"] is True
         assert health["quarantined_total"] == 2
         assert system.cube.flat.num_rows == cohort.num_rows + dirty.num_rows - 2
+
+
+@pytest.mark.parametrize("mode", [m for m in MODES if m != "no-sink"])
+def test_a_key_the_store_cannot_hold_diverts_at_oltp(mode, cohort, batches, tmp_path):
+    """The resume probe treats an unstorable ``visit_id`` as absent, so the
+    insert refuses that one row and the rest of the batch lands."""
+    rows = batches[0].to_rows()
+    for row in rows:
+        row["visit_id"] = str(row["visit_id"])
+    rows[3]["visit_id"] = "not-a-number"
+    dirty = Table.from_rows(rows, schema={**batches[0].schema, "visit_id": "str"})
+    system = DDDGMS(cohort, **MODES[mode](tmp_path))
+    assert system.ingest_visits(dirty) == dirty.num_rows - 1
+    sink = system.quarantine
+    entries = sink.entries if isinstance(sink, ListSink) else sink.rows()
+    assert [(e.step, e.error_type, e.source_index) for e in entries] == [
+        ("oltp", "DTypeError", 3)
+    ]
+    assert system.cube.flat.num_rows == cohort.num_rows + dirty.num_rows - 1

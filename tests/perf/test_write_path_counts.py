@@ -31,21 +31,26 @@ BATCH_ROWS = 60
 COLUMNS = 277
 
 
+def _count(monkeypatch, counts: Counter, owner, attr, label, original=None):
+    """Count calls of ``owner.attr`` under ``label``."""
+    original = original or getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        counts[label] += 1
+        return original(*args, **kwargs)
+
+    # raising=False: a per-row validator that no longer exists is
+    # installed (and must stay uncalled) rather than skipped
+    monkeypatch.setattr(owner, attr, wrapper, raising=False)
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Call counts of the functions the guard watches."""
     counts: Counter = Counter()
 
     def counted(owner, attr, label, original=None):
-        original = original or getattr(owner, attr)
-
-        def wrapper(*args, **kwargs):
-            counts[label] += 1
-            return original(*args, **kwargs)
-
-        # raising=False: a per-row validator that no longer exists is
-        # installed (and must stay uncalled) rather than skipped
-        monkeypatch.setattr(owner, attr, wrapper, raising=False)
+        _count(monkeypatch, counts, owner, attr, label, original)
 
     counted(persistence, "_save_snapshot", "save_snapshot")
     counted(Column, "value", "column_value")
@@ -120,6 +125,57 @@ def test_one_clean_batch_costs_the_batch(tmp_path, calls):
     assert calls["get_by_pk"] <= BATCH_ROWS, (
         f"{calls['get_by_pk']} get_by_pk calls for {BATCH_ROWS} rows: the "
         f"intake re-fetches stored rows again"
+    )
+
+
+# -- the bare engine: a round trip costs per column, never per row ----------
+
+
+@pytest.fixture(scope="module")
+def wide_rows():
+    table = DiScRiGenerator(n_patients=250, seed=7).generate()
+    assert table.num_rows >= 10 * BATCH_ROWS and len(table.column_names) == COLUMNS
+    return table
+
+
+def _round_trip(root, rows: Table) -> StorageEngine:
+    """insert → scan() → scan(row_ids) → checkpoint → recover."""
+    root.mkdir()
+    engine = StorageEngine(wal.WriteAheadLog(root / "wal.log"))
+    engine.create_table("attendances", dict(rows.schema), primary_key="visit_id")
+    engine.create_index("attendances", "patient_id")
+    with engine.transaction():
+        accepted, rejected = engine.insert("attendances", rows)
+    assert rejected == []
+    assert engine.scan("attendances").num_rows == rows.num_rows
+    assert engine.scan("attendances", row_ids=accepted[::-1]).num_rows == rows.num_rows
+    persistence.checkpoint(engine, root / "snaps")
+    engine.wal.close()
+    return persistence.recover(root / "snaps", root / "wal.log")
+
+
+def test_engine_round_trip_never_builds_rows(tmp_path, monkeypatch, calls, wide_rows):
+    """The store keeps the typed columns it validated: no row dicts between
+    an insert, a scan, a checkpoint and a recovery, and the same work for
+    ten times the rows."""
+    for owner, attr in (
+        (Table, "from_rows"), (Table, "to_rows"), (Table, "iter_rows"),
+        (Column, "to_list"),
+    ):
+        _count(monkeypatch, calls, owner, attr, attr)
+    by_rows = {}
+    for rows in (BATCH_ROWS, 10 * BATCH_ROWS):
+        calls.clear()
+        recovered = _round_trip(tmp_path / str(rows), wide_rows.head(rows))
+        by_rows[rows] = Counter(calls)
+        assert recovered.scan("attendances").equals(wide_rows.head(rows))
+    for label in ("from_rows", "to_rows", "iter_rows", "column_value"):
+        assert by_rows[10 * BATCH_ROWS][label] == 0, (
+            f"{by_rows[10 * BATCH_ROWS][label]} {label} calls: the store "
+            f"builds rows again"
+        )
+    assert by_rows[BATCH_ROWS] == by_rows[10 * BATCH_ROWS], (
+        f"work grows with the rows: {by_rows}"
     )
 
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from repro.dgms.system import _insert_visits
 from repro.errors import DTypeError, IntegrityError, ReproError, StorageError
 from repro.etl.quarantine import ListSink, divert
-from repro.storage.engine import StorageEngine, replay_into
+from repro.storage.engine import StorageEngine, _storage_list, replay_into
 from repro.tabular.column import Column
 from repro.tabular.dtypes import DType, coerce_value
 from repro.tabular.table import Table
@@ -83,10 +83,15 @@ def _bits(value):
 
 
 def _stored(engine: StorageEngine) -> dict:
-    """Every stored row, values compared bit for bit."""
+    """Every stored row by row id, storage values compared bit for bit."""
+    block = engine._block("attendances")
+    cells = {
+        name: _storage_list(block.rows.column(name))
+        for name in block.rows.column_names
+    }
     return {
-        row_id: {k: _bits(v) for k, v in row.items()}
-        for row_id, row in engine._tables["attendances"].rows.items()
+        row_id: {name: _bits(values[i]) for name, values in cells.items()}
+        for i, row_id in enumerate(block.row_ids.tolist())
     }
 
 

@@ -57,15 +57,3 @@ def test_fk_local_column_checked(cat):
             "visits", {"vid": "int"},
             foreign_keys={"pid": ("patients", "pid")},
         )
-
-
-def test_drop(cat):
-    cat.drop("patients")
-    assert cat.names() == []
-
-
-def test_add_column_versioning(cat):
-    meta = cat.add_column("patients", "town", "str")
-    assert meta.version == 2
-    with pytest.raises(StorageError, match="already exists"):
-        cat.add_column("patients", "town", "str")

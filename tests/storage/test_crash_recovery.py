@@ -130,11 +130,9 @@ def apply_ops(db: StorageEngine, ops) -> None:
             assert rejected == []
         elif op[0] == "update":
             _, k, v = op
-            row_id = next(iter(db._tables["t"].pk_index.lookup(k)))
-            db.update("t", row_id, {"v": v})
+            db.update_by_pk("t", k, {"v": v})
         elif op[0] == "delete":
-            row_id = next(iter(db._tables["t"].pk_index.lookup(op[1])))
-            db.delete("t", row_id)
+            db.delete_by_pk("t", op[1])
 
 
 def _count_hits(tmp_path: Path) -> dict[str, int]:
@@ -291,16 +289,14 @@ def _apply_defensive(db: StorageEngine, model: dict, ops) -> dict:
         if op[0] == "put":
             _, k, v, d = op
             if k in model:
-                row_id = next(iter(db._tables["t"].pk_index.lookup(k)))
-                db.update("t", row_id, {"v": v, "d": d})
+                db.update_by_pk("t", k, {"v": v, "d": d})
             else:
                 db.insert("t", {"k": k, "v": v, "d": d})
             model[k] = (v, d)
         else:
             _, k = op
             if k in model:
-                row_id = next(iter(db._tables["t"].pk_index.lookup(k)))
-                db.delete("t", row_id)
+                db.delete_by_pk("t", k)
                 del model[k]
     return model
 

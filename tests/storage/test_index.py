@@ -1,11 +1,6 @@
-"""Tests for hash and sorted indexes."""
+"""Tests for the hash index."""
 
-from repro.storage.index import (
-    HashIndex,
-    SortedIndex,
-    build_hash_index,
-    build_sorted_index,
-)
+from repro.storage.index import HashIndex
 
 
 class TestHashIndex:
@@ -32,7 +27,9 @@ class TestHashIndex:
         index.remove("a", 0)  # idempotent
 
     def test_distinct_values(self):
-        index = build_hash_index("c", ["x", "y", "x", None])
+        index = HashIndex("c")
+        for row_id, value in enumerate(["x", "y", "x", None]):
+            index.add(value, row_id)
         assert sorted(index.distinct_values()) == ["x", "y"]
 
     def test_lookup_returns_copy(self):
@@ -41,40 +38,3 @@ class TestHashIndex:
         result = index.lookup("a")
         result.add(99)
         assert index.lookup("a") == {0}
-
-
-class TestSortedIndex:
-    def test_range_inclusive(self):
-        index = build_sorted_index("c", [5, 1, 3, 4, 2])
-        assert sorted(index.range(low=2, high=4)) == [2, 3, 4]  # row ids of 3,4,2
-
-    def test_range_exclusive_bounds(self):
-        index = build_sorted_index("c", [1, 2, 3])
-        assert index.range(low=1, high=3, include_low=False, include_high=False) == [1]
-
-    def test_open_ended(self):
-        index = build_sorted_index("c", [10, 20, 30])
-        assert sorted(index.range(low=20)) == [1, 2]
-        assert sorted(index.range(high=20)) == [0, 1]
-        assert sorted(index.range()) == [0, 1, 2]
-
-    def test_lookup_equality(self):
-        index = build_sorted_index("c", [7, 7, 8])
-        assert index.lookup(7) == {0, 1}
-
-    def test_remove_specific_pair(self):
-        index = SortedIndex("c")
-        index.add(5, 0)
-        index.add(5, 1)
-        index.remove(5, 0)
-        assert index.lookup(5) == {1}
-
-    def test_min_max(self):
-        index = build_sorted_index("c", [4, 9, 1])
-        assert index.min_key() == 1
-        assert index.max_key() == 9
-        assert SortedIndex("c").min_key() is None
-
-    def test_nulls_skipped(self):
-        index = build_sorted_index("c", [None, 2, None])
-        assert len(index) == 1

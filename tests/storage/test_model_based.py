@@ -38,7 +38,99 @@ _KEYS = st.integers(1, 25)
 _VALUES = st.sampled_from(["a", "b", "c", None])
 
 
-class EngineModel(RuleBasedStateMachine):
+def _cell(value):
+    """Compare floats by bit pattern: NaN payloads and -0.0 must survive."""
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    return value
+
+
+def _contents(table: Table) -> list[tuple]:
+    return [tuple(map(_cell, row.values())) for row in table.to_rows()]
+
+
+_STEPS = st.lists(
+    st.tuples(st.sampled_from(["insert", "update", "delete"]), _KEYS, _VALUES),
+    min_size=2, max_size=8,
+)
+
+
+class _ReadChecks:
+    """What every read of the column store promises, in both machines.
+
+    ``self.model`` maps each live key to its cells and ``self.row_ids``
+    to its row id; a machine says how a scanned row and a model entry
+    compare (``_row_form``/``_model_form``), where ``v`` sits in the
+    cells (``_v``) and what an insert or an update of ``v`` stores
+    (``_inserted``/``_updated``).
+    """
+
+    def check_reads(self, model: dict, row_ids: dict[int, int]) -> None:
+        """Every read against ``model``: the reads that address rows by id
+        or key first, then the full scan."""
+        live = sorted(model, key=row_ids.__getitem__)
+        wanted = live[::-2] + live[:1]  # reversed, gapped, one repeated
+        picked = self.engine.scan("t", row_ids=[row_ids[k] for k in wanted])
+        assert picked.column("k").to_list() == wanted
+        assert list(map(self._row_form, picked.to_rows())) == [
+            self._model_form(model[k]) for k in wanted
+        ]
+        for key, cells in model.items():
+            row = self.engine.get_by_pk("t", key)
+            assert row is not None and self._row_form(row) == self._model_form(cells)
+        assert self.engine.get_by_pk("t", 999) is None
+        for value in ("a", "b", "c"):
+            expected = sorted(k for k, c in model.items() if self._v(c) == value)
+            found = sorted(row["k"] for row in self.engine.find("t", "v", value))
+            assert found == expected
+        table = self.engine.scan("t")
+        assert table.column("k").to_list() == live  # row-id order
+        assert list(map(self._row_form, table.to_rows())) == [
+            self._model_form(model[k]) for k in live
+        ]
+
+    @invariant()
+    def reads_match_model(self):
+        self.check_reads(self.model, self.row_ids)
+
+    @invariant()
+    def an_earlier_scan_still_reads_the_same(self):
+        """A table captured before the last step — an update, a delete,
+        an aborted transaction, a checkpoint or a crash — is unchanged."""
+        captured = getattr(self, "_captured", None)
+        if captured is not None:
+            table, contents = captured
+            assert _contents(table) == contents
+        table = self.engine.scan("t")
+        self._captured = (table, _contents(table))
+
+    @rule(steps=_STEPS, commit=st.booleans())
+    def several_writes_in_one_transaction(self, steps, commit):
+        """Inside a transaction the table is several chunks with retired
+        positions (a commit folds them back into one): every read must
+        see through them, and an abort must leave no trace."""
+        model, row_ids = dict(self.model), dict(self.row_ids)
+        try:
+            with self.engine.transaction():
+                for op, key, value in steps:
+                    if op == "insert" and key not in model:
+                        row_ids[key] = self.engine.insert("t", {"k": key, "v": value})
+                        model[key] = self._inserted(value)
+                    elif op == "update" and key in model:
+                        self.engine.update("t", row_ids[key], {"v": value})
+                        model[key] = self._updated(model[key], value)
+                    elif op == "delete" and key in model:
+                        self.engine.delete("t", row_ids.pop(key))
+                        del model[key]
+                self.check_reads(model, row_ids)
+                if not commit:
+                    raise RuntimeError("abort")
+        except RuntimeError:
+            return
+        self.model, self.row_ids = model, row_ids
+
+
+class EngineModel(_ReadChecks, RuleBasedStateMachine):
     """Random single-row transactions vs a dict reference."""
 
     def __init__(self):
@@ -100,24 +192,19 @@ class EngineModel(RuleBasedStateMachine):
         except RuntimeError:
             pass
 
-    @invariant()
-    def rows_match_model(self):
-        rows = {row["k"]: row["v"] for row in self.engine.scan("t").to_rows()}
-        assert rows == self.model
+    @staticmethod
+    def _row_form(row):
+        return row["v"]
 
-    @invariant()
-    def pk_index_matches_model(self):
-        for key, value in self.model.items():
-            row = self.engine.get_by_pk("t", key)
-            assert row is not None and row["v"] == value
-        assert self.engine.get_by_pk("t", 999) is None
+    @staticmethod
+    def _model_form(cells):
+        return cells
 
-    @invariant()
-    def secondary_index_matches_model(self):
-        for value in ("a", "b", "c"):
-            expected = sorted(k for k, v in self.model.items() if v == value)
-            found = sorted(row["k"] for row in self.engine.find("t", "v", value))
-            assert found == expected
+    _v = _inserted = _model_form
+
+    @staticmethod
+    def _updated(cells, value):
+        return value
 
 
 EngineModel.TestCase.settings = settings(
@@ -132,13 +219,6 @@ _FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, float("nan")]),
 )
 _DATES = st.dates(dt.date(1990, 1, 1), dt.date(2030, 12, 31))
-
-
-def _cell(value):
-    """Compare floats by bit pattern: NaN payloads and -0.0 must survive."""
-    if isinstance(value, float):
-        return ("float", struct.pack("<d", value))
-    return value
 
 
 @st.composite
@@ -169,7 +249,7 @@ def _batches(draw):
     })
 
 
-class DurableEngineModel(RuleBasedStateMachine):
+class DurableEngineModel(_ReadChecks, RuleBasedStateMachine):
     """The same random transactions, now with checkpoints and crashes.
 
     The engine is file-backed; at any step the machine may checkpoint
@@ -191,11 +271,9 @@ class DurableEngineModel(RuleBasedStateMachine):
         checkpoint(self.engine, self.snap_root)
         #: key -> (v, f, b, d), values as a scan returns them
         self.model: dict[int, tuple] = {}
+        self.row_ids: dict[int, int] = {}
 
     keys = Bundle("keys")
-
-    def _row_id(self, key):
-        return next(iter(self.engine._tables["t"].pk_index.lookup(key)))
 
     @rule(target=keys, key=_KEYS, value=_VALUES)
     def insert(self, key, value):
@@ -208,7 +286,7 @@ class DurableEngineModel(RuleBasedStateMachine):
                 pass
             return key
         with self.engine.transaction():
-            self.engine.insert("t", {"k": key, "v": value})
+            self.row_ids[key] = self.engine.insert("t", {"k": key, "v": value})
         self.model[key] = (value, None, None, None)
         return key
 
@@ -233,6 +311,8 @@ class DurableEngineModel(RuleBasedStateMachine):
             accepted, rejected = self.engine.insert("t", batch)
         assert len(accepted) == len(expected) - len(self.model)
         assert len(accepted) + len(rejected) == batch.num_rows
+        new_keys = [key for key in expected if key not in self.model]
+        self.row_ids.update(zip(new_keys, accepted))
         self.model = expected
 
     @rule(key=keys, value=_VALUES)
@@ -240,7 +320,7 @@ class DurableEngineModel(RuleBasedStateMachine):
         if key not in self.model:
             return
         with self.engine.transaction():
-            self.engine.update("t", self._row_id(key), {"v": value})
+            self.engine.update("t", self.row_ids[key], {"v": value})
         self.model[key] = (value, *self.model[key][1:])
 
     @rule(key=keys)
@@ -248,15 +328,16 @@ class DurableEngineModel(RuleBasedStateMachine):
         if key not in self.model:
             return
         with self.engine.transaction():
-            self.engine.delete("t", self._row_id(key))
+            self.engine.delete("t", self.row_ids[key])
         del self.model[key]
+        del self.row_ids[key]
 
     @rule(key=_KEYS, value=_VALUES)
     def aborted_transaction(self, key, value):
         try:
             with self.engine.transaction():
                 if key in self.model:
-                    self.engine.update("t", self._row_id(key), {"v": value})
+                    self.engine.update("t", self.row_ids[key], {"v": value})
                 else:
                     self.engine.insert("t", {"k": key, "v": value})
                 raise RuntimeError("abort")
@@ -272,25 +353,25 @@ class DurableEngineModel(RuleBasedStateMachine):
         self.engine.wal.close()
         self.engine = recover(self.snap_root, self.wal_path)
 
-    @invariant()
-    def rows_match_model(self):
-        rows = {
-            row["k"]: tuple(_cell(row[c]) for c in "vfbd")
-            for row in self.engine.scan("t").to_rows()
-        }
-        assert rows == {
-            k: tuple(_cell(x) for x in cells) for k, cells in self.model.items()
-        }
+    @staticmethod
+    def _row_form(row):
+        return tuple(_cell(row[c]) for c in "vfbd")
 
-    @invariant()
-    def indexes_match_model(self):
-        for key, cells in self.model.items():
-            row = self.engine.get_by_pk("t", key)
-            assert row is not None and row["v"] == cells[0]
-        for value in ("a", "b", "c"):
-            expected = sorted(k for k, c in self.model.items() if c[0] == value)
-            found = sorted(row["k"] for row in self.engine.find("t", "v", value))
-            assert found == expected
+    @staticmethod
+    def _model_form(cells):
+        return tuple(map(_cell, cells))
+
+    @staticmethod
+    def _v(cells):
+        return cells[0]
+
+    @staticmethod
+    def _inserted(value):
+        return (value, None, None, None)
+
+    @staticmethod
+    def _updated(cells, value):
+        return (value, *cells[1:])
 
     def teardown(self):
         shutil.rmtree(self.workdir, ignore_errors=True)
