@@ -30,18 +30,19 @@ Start with :func:`repro.open_system` or see ``examples/quickstart.py``::
     print(system.explain("SELECT ... FROM [discri]"))
 
 :mod:`repro.obs` is the observability core (tracing, metrics, EXPLAIN)
-and :mod:`repro.persistence` the unified save/load/recover surface.
+and :mod:`repro.storage.persistence` the one persistence module: snapshot
+generations and crash recovery of the operational store, which also
+journals the knowledge base's findings.
 """
 
 from __future__ import annotations
 
 __version__ = "1.0.0"
 
-from repro.errors import PersistenceError, ReproError
+from repro.errors import ReproError
 
 __all__ = [
     "ReproError",
-    "PersistenceError",
     "open_system",
     "SystemConfig",
     "DDDGMS",

@@ -28,7 +28,14 @@ from repro.etl.quarantine import (
     divert,
     stage,
 )
-from repro.knowledge.kb import KnowledgeBase
+from repro.knowledge.kb import (
+    EVENTS_SCHEMA,
+    EVENTS_TABLE,
+    KnowledgeBase,
+    KnowledgeEvent,
+    event_row,
+    events_from_rows,
+)
 from repro.knowledge.findings import Evidence, FindingKind
 from repro.mining.awsum import AWSumClassifier
 from repro.mining.naive_bayes import NaiveBayesClassifier
@@ -48,7 +55,11 @@ from repro.optimize.consistency import ConsistencyReport, check_dimension_consis
 from repro.prediction.trajectory import TrajectoryPredictor
 from repro.storage import faults
 from repro.storage.engine import StorageEngine
-from repro.storage.persistence import checkpoint_if_due, checkpoint_status
+from repro.storage.persistence import (
+    checkpoint,
+    checkpoint_if_due,
+    checkpoint_status,
+)
 from repro.storage.persistence import recover as _recover
 from repro.storage.retry import RetryPolicy, get_policy, with_retry
 from repro.storage.wal import WriteAheadLog
@@ -67,6 +78,40 @@ _FOLD_TABLE = "feedback_folds"
 #: small enough that a crash mid-batch loses little, large enough that the
 #: per-commit fsync amortises
 INGEST_CHUNK_ROWS = 256
+
+
+class _Parts:
+    """A table held as the parts it was appended in.
+
+    A writer never changes a holder: appending a part makes a new one.
+    A read folds the parts and caches the fold on the holder it read, so
+    a batch appended meanwhile lands in the writer's new holder and is
+    never lost, and the read path needs no lock.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, *parts: Table):
+        self.parts = parts
+
+    def plus(self, part: Table) -> "_Parts":
+        return _Parts(*self.parts, part)
+
+    def table(self) -> Table:
+        parts = self.parts
+        if len(parts) > 1:
+            parts = self.parts = (Table.concat_all(parts),)
+        return parts[0]
+
+
+def _take_transformed(built: DiscriWarehouse) -> _Parts:
+    """The build's post-ETL table, moved into a history holder.
+
+    The holder becomes its one owner, so a fold frees the parts it
+    replaced instead of the build keeping the first one alive.
+    """
+    table, built.etl_result.table = built.etl_result.table, None
+    return _Parts(table)
 
 
 def _insert_visits(
@@ -233,10 +278,7 @@ class DDDGMS:
                     # the canonical source is what the OLTP store accepted
                     source = _operational.scan("attendances")
                 self.operational_store = _operational
-            self.source = source
-            #: delta-transformed batches not yet folded into the built
-            #: table; flushed lazily by :attr:`transformed`
-            self._pending_transformed: list[Table] = []
+            self._source = _Parts(source)
             #: rows of ``attendances`` reflected in the analytical layers
             #: vs. rows the OLTP store holds — divergence (an interrupted
             #: batch) disqualifies the next delta publish
@@ -246,12 +288,16 @@ class DDDGMS:
                 self._built: DiscriWarehouse = build_discri_warehouse(
                     source, quarantine=self.quarantine, batch="initial"
                 )
+            #: the post-ETL history: the build's table, then each delta batch
+            self._transformed = _take_transformed(self._built)
             self.warehouse = self._built.warehouse
             self.etl_audit = self._built.etl_result.audit
             # managed: readers never flatten a half-mutated warehouse; only
             # the writer's explicit publish (at commit) moves the epoch
             self.cube = Cube(self.warehouse, managed=True, runtime=self.runtime)
-            self.knowledge_base = KnowledgeBase(promotion_threshold)
+            self.knowledge_base = KnowledgeBase(
+                promotion_threshold, journal=self._journal_knowledge
+            )
             #: feedback builders folded so far, replayed after every re-ingest
             self._feedback_builders: list[FeedbackDimensionBuilder] = []
             #: lattice level-groups to re-materialise after every re-ingest
@@ -288,6 +334,7 @@ class DDDGMS:
             _FOLD_TABLE, {"fold_id": "int", "dimension": "str"},
             primary_key="fold_id",
         )
+        engine.create_table(EVENTS_TABLE, EVENTS_SCHEMA, primary_key="event_id")
         _insert_visits(
             engine, source, range(source.num_rows), quarantine, batch
         )
@@ -307,15 +354,23 @@ class DDDGMS:
 
         Recovers the operational store (newest valid snapshot generation +
         WAL replay) and the quarantine store, rebuilds the warehouse over
-        the recovered history, and replays the feedback-fold journal
-        against the supplied ``feedback_builders`` (predicates are code,
-        so the caller must provide the builders; journal entries with no
-        matching builder are skipped with a warning).  Re-ingesting the
-        batch that was interrupted is then idempotent: rows whose
-        ``visit_id`` already landed are skipped, not duplicated.
+        the recovered history, replays the knowledge-base events, and
+        replays the feedback-fold journal against the supplied
+        ``feedback_builders`` (predicates are code, so the caller must
+        provide the builders; journal entries with no matching builder
+        are skipped with a warning).  ``promotion_threshold`` governs
+        promotions from here on; a replayed promotion stands.
+        Re-ingesting the batch that was interrupted is then idempotent:
+        rows whose ``visit_id`` already landed are skipped, not
+        duplicated.
         """
         root = Path(durable_root)
         engine = _recover(root / "snaps", root / "wal.log")
+        if EVENTS_TABLE not in engine.table_names():
+            # a root written before the knowledge base was journaled; a
+            # table reaches the catalog only through a generation
+            engine.create_table(EVENTS_TABLE, EVENTS_SCHEMA, primary_key="event_id")
+            checkpoint(engine, root / "snaps")
         if quarantine is None:
             quarantine = QuarantineStore.open(root / "quarantine")
         source = engine.scan("attendances")
@@ -326,6 +381,8 @@ class DDDGMS:
             quarantine=quarantine,
             _operational=engine,
         )
+        for event in events_from_rows(engine.scan(EVENTS_TABLE).iter_rows()):
+            system.knowledge_base.apply(event)
         by_name = {builder.name: builder for builder in feedback_builders}
         for row in engine.scan(_FOLD_TABLE).iter_rows():
             name = str(row["dimension"])
@@ -349,31 +406,20 @@ class DDDGMS:
     def source(self) -> Table:
         """The raw visit history (delta batches concatenated on demand).
 
-        A delta ingest appends its batch as an O(1) block; the first
-        direct read folds the blocks into one table.  Published epochs
+        A delta ingest appends its batch as an O(1) part; the first
+        direct read folds the parts into one table.  Published epochs
         never read through here — they carry their own row blocks.
         """
-        if len(self._source_parts) > 1:
-            self._source_parts = [Table.concat_all(self._source_parts)]
-        return self._source_parts[0]
-
-    @source.setter
-    def source(self, table: Table) -> None:
-        self._source_parts: list[Table] = [table]
+        return self._source.table()
 
     def _source_columns(self) -> list[str]:
         """Source column names without forcing the lazy concatenation."""
-        return self._source_parts[0].column_names
+        return self._source.parts[0].column_names
 
     @property
     def transformed(self) -> Table:
         """The post-ETL visit table (delta batches folded in on read)."""
-        if self._pending_transformed:
-            self._built.etl_result.table = Table.concat_all(
-                [self._built.etl_result.table, *self._pending_transformed]
-            )
-            self._pending_transformed = []
-        return self._built.transformed
+        return self._transformed.table()
 
     # ------------------------------------------------------------------
     # Serving: epochs + result cache
@@ -940,8 +986,8 @@ class DDDGMS:
         self, source: Table, built: DiscriWarehouse, cube: Cube
     ) -> None:
         """Swap a :meth:`_rebuild_staged` result in for the published state."""
-        self.source = source
-        self._pending_transformed = []
+        self._source = _Parts(source)
+        self._transformed = _take_transformed(built)
         self._covered_rows = self._oltp_rows = source.num_rows
         self._built = built
         self.warehouse = built.warehouse
@@ -1001,7 +1047,7 @@ class DDDGMS:
             self.cube._current_state()
         reason = self._delta_ineligible_reason(batch_tbl.num_rows)
         if reason is None:
-            base = self._source_parts[0]
+            base = self._source.parts[0]
             if (
                 batch_tbl.column_names != base.column_names
                 or batch_tbl.schema != base.schema
@@ -1051,9 +1097,9 @@ class DDDGMS:
             return False
         # -- committed: the delta epoch is published ----------------------
         commit_delta(state, outcome)
-        self._source_parts.append(batch_tbl)
+        self._source = self._source.plus(batch_tbl)
         self._covered_rows += batch_tbl.num_rows
-        self._pending_transformed.append(delta_tbl)
+        self._transformed = self._transformed.plus(delta_tbl)
         self.etl_audit.append(
             AuditEntry(
                 "delta",
@@ -1237,6 +1283,16 @@ class DDDGMS:
             engine.insert(
                 _FOLD_TABLE, {"fold_id": len(existing) + 1, "dimension": name}
             )
+
+    def _journal_knowledge(self, events: list[KnowledgeEvent]) -> None:
+        """Commit knowledge-base events to the operational store, as one
+        transaction (the base applies them only once this returns)."""
+        engine = self.operational_store
+        with self._writer_lock:
+            first = engine.row_count(EVENTS_TABLE) + 1
+            with engine.transaction():
+                for offset, event in enumerate(events):
+                    engine.insert(EVENTS_TABLE, event_row(event, first + offset))
 
     def _checkpoint_durable(self) -> None:
         """Checkpoint both durable stores — each only when it is due.

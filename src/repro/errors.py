@@ -52,17 +52,6 @@ class LengthMismatchError(TabularError, ValueError):
 # Storage engine
 # --------------------------------------------------------------------------
 
-class PersistenceError(ReproError):
-    """A unified save/load/recover operation failed.
-
-    Raised by :mod:`repro.persistence` — the one durable-artefact surface
-    — wrapping whichever subsystem error occurred (kept as ``__cause__``),
-    so callers of the unified API catch a single type regardless of
-    whether the artefact was an operational snapshot, a warehouse or a
-    knowledge base.
-    """
-
-
 class StorageError(ReproError):
     """Base class for embedded storage-engine errors."""
 

@@ -49,13 +49,17 @@ class Finding:
         """Accumulated evidence weight."""
         return sum(e.weight for e in self.evidence)
 
-    def add_evidence(self, evidence: Evidence) -> None:
-        """Attach more support."""
+    def check_open(self) -> None:
+        """Raise when the finding is retired and so takes no more evidence."""
         if self.status == "retired":
             raise KnowledgeBaseError(
                 f"finding {self.key!r} is retired; reopen it before adding "
                 "evidence"
             )
+
+    def add_evidence(self, evidence: Evidence) -> None:
+        """Attach more support."""
+        self.check_open()
         self.evidence.append(evidence)
 
     def describe(self) -> str:

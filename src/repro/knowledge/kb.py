@@ -1,11 +1,101 @@
-"""The knowledge base: accumulation, promotion, querying."""
+"""The knowledge base: accumulation, promotion, querying.
+
+Every change to a base is a :class:`KnowledgeEvent` — a finding recorded
+with its evidence, promoted, or retired.  A mutator validates, hands the
+events to the owner's journal (if any), then applies them through
+:meth:`KnowledgeBase.apply`, which is also how a journal is replayed.
+:data:`EVENTS_TABLE` / :data:`EVENTS_SCHEMA` and :func:`event_row` /
+:func:`events_from_rows` map events to and from the rows of the
+operational-store table a durable system journals them in.
+"""
 
 from __future__ import annotations
 
-from typing import Iterable
+import json
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, Iterable
 
 from repro.errors import KnowledgeBaseError, PromotionError
 from repro.knowledge.findings import Evidence, Finding, FindingKind
+
+#: the operational-store table a journaled base keeps its events in
+EVENTS_TABLE = "knowledge_events"
+
+#: one row per event; ``event_id`` is the commit order replay follows
+EVENTS_SCHEMA = {
+    "event_id": "int",
+    "op": "str",
+    "key": "str",
+    "kind": "str",
+    "statement": "str",
+    "source": "str",
+    "description": "str",
+    "weight": "float",
+    "recorded": "date",
+    "tags": "str",
+    "reason": "str",
+}
+
+
+@dataclass(frozen=True)
+class KnowledgeEvent:
+    """One change to a base: ``op`` is ``record``, ``promote`` or ``retire``.
+
+    A ``record`` carries the finding's kind, statement, tags and one piece
+    of evidence; a ``retire`` carries its reason; a ``promote`` only the key.
+    """
+
+    op: str
+    key: str
+    kind: FindingKind | None = None
+    statement: str | None = None
+    evidence: Evidence | None = None
+    tags: frozenset[str] = frozenset()
+    reason: str | None = None
+
+
+def event_row(event: KnowledgeEvent, event_id: int) -> dict[str, object]:
+    """The :data:`EVENTS_SCHEMA` row of ``event``."""
+    row: dict[str, object] = dict.fromkeys(EVENTS_SCHEMA)
+    row.update(event_id=event_id, op=event.op, key=event.key, reason=event.reason)
+    if event.op == "record":
+        evidence = event.evidence
+        row.update(
+            kind=FindingKind(event.kind).value,
+            statement=event.statement,
+            source=evidence.source,
+            description=evidence.description,
+            weight=evidence.weight,
+            recorded=evidence.recorded,
+            tags=json.dumps(sorted(event.tags)),
+        )
+    return row
+
+
+def events_from_rows(rows: Iterable[dict]) -> list[KnowledgeEvent]:
+    """Events of :func:`event_row` rows, in ``event_id`` order."""
+    events = []
+    for row in sorted(rows, key=itemgetter("event_id")):
+        if row["op"] == "record":
+            events.append(
+                KnowledgeEvent(
+                    "record",
+                    row["key"],
+                    kind=FindingKind(row["kind"]),
+                    statement=row["statement"],
+                    evidence=Evidence(
+                        source=row["source"],
+                        description=row["description"],
+                        weight=row["weight"],
+                        recorded=row["recorded"],
+                    ),
+                    tags=frozenset(json.loads(row["tags"])),
+                )
+            )
+        else:
+            events.append(KnowledgeEvent(row["op"], row["key"], reason=row["reason"]))
+    return events
 
 
 class KnowledgeBase:
@@ -16,12 +106,22 @@ class KnowledgeBase:
     ``promotion_threshold``; ``promote_ready()`` then moves it into the
     knowledge base proper.  Promotion is explicit rather than automatic so
     a curator (the clinical scientist) stays in the loop.
+
+    ``journal`` receives the events of every mutation after validation
+    and before they apply; it must make them durable or raise, and a
+    raise leaves the base unchanged.
     """
 
-    def __init__(self, promotion_threshold: float = 3.0):
+    def __init__(
+        self,
+        promotion_threshold: float = 3.0,
+        *,
+        journal: Callable[[list[KnowledgeEvent]], None] | None = None,
+    ):
         if promotion_threshold <= 0:
             raise KnowledgeBaseError("promotion threshold must be positive")
         self.promotion_threshold = promotion_threshold
+        self.journal = journal
         self._findings: dict[str, Finding] = {}
 
     # ------------------------------------------------------------------
@@ -47,17 +147,51 @@ class KnowledgeBase:
                     f"finding {key!r} already exists with a different "
                     f"statement: {existing.statement!r}"
                 )
-            existing.add_evidence(evidence)
-            return existing
-        finding = Finding(
-            key=key,
-            kind=kind,
-            statement=statement,
-            evidence=[evidence],
-            tags=frozenset(tags),
+            existing.check_open()
+        event = KnowledgeEvent(
+            "record", key, kind=kind, statement=statement,
+            evidence=evidence, tags=frozenset(tags),
         )
-        self._findings[key] = finding
+        return self._commit([event])[0]
+
+    def apply(self, event: KnowledgeEvent) -> Finding:
+        """Apply one event: the path of every mutator and of a replay.
+
+        An event is a fact the mutator already validated, so nothing is
+        checked again — a replayed promotion stands whatever the
+        threshold now is.
+        """
+        if event.op == "record":
+            finding = self._findings.get(event.key)
+            if finding is None:
+                finding = self._findings[event.key] = Finding(
+                    key=event.key,
+                    kind=event.kind,
+                    statement=event.statement,
+                    tags=event.tags,
+                )
+            finding.add_evidence(event.evidence)
+            return finding
+        finding = self.get(event.key)
+        if event.op == "promote":
+            finding.status = "promoted"
+        elif event.op == "retire":
+            finding.add_evidence(
+                Evidence(
+                    source="curator",
+                    description=f"retired: {event.reason}",
+                    weight=1e-9,
+                )
+            )
+            finding.status = "retired"
+        else:
+            raise KnowledgeBaseError(f"unknown knowledge event {event.op!r}")
         return finding
+
+    def _commit(self, events: list[KnowledgeEvent]) -> list[Finding]:
+        if self.journal is not None:
+            self.journal(events)
+        return [self.apply(event) for event in events]
 
     def get(self, key: str) -> Finding:
         """Fetch one finding."""
@@ -93,24 +227,19 @@ class KnowledgeBase:
                 f"finding {key!r} has weight {finding.total_weight():g} "
                 f"< threshold {self.promotion_threshold:g}"
             )
-        finding.status = "promoted"
-        return finding
+        return self._commit([KnowledgeEvent("promote", key)])[0]
 
     def promote_ready(self) -> list[Finding]:
         """Promote everything that qualifies; returns what was promoted."""
-        promoted = []
-        for finding in self.ready_for_promotion():
-            promoted.append(self.promote(finding.key))
-        return promoted
+        ready = self.ready_for_promotion()
+        if not ready:
+            return []
+        return self._commit([KnowledgeEvent("promote", f.key) for f in ready])
 
     def retire(self, key: str, reason: str) -> Finding:
         """Retire a finding (superseded or contradicted)."""
-        finding = self.get(key)
-        finding.add_evidence(
-            Evidence(source="curator", description=f"retired: {reason}", weight=1e-9)
-        )
-        finding.status = "retired"
-        return finding
+        self.get(key).check_open()
+        return self._commit([KnowledgeEvent("retire", key, reason=reason)])[0]
 
     # ------------------------------------------------------------------
 

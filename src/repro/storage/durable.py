@@ -1,7 +1,7 @@
 """Crash-safe file primitives: atomic writes, checksummed framing, column blocks.
 
-Three building blocks shared by the WAL, the snapshot store and the
-warehouse/knowledge persistence modules:
+Three building blocks shared by the WAL, the snapshot store, the
+quarantine store and the chaos-sweep ledger:
 
 * **Atomic whole-file writes** — write to a temp file in the same
   directory, flush + fsync, ``os.replace`` over the target, fsync the

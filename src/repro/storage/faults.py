@@ -100,8 +100,6 @@ _ATOMIC_WRITE_POINTS = frozenset({
     "atomic.write",
     "wal.create", "wal.truncate",
     "snapshot.data", "snapshot.manifest",
-    "warehouse.data", "warehouse.manifest",
-    "kb.write",
 })
 
 #: plain boundaries fired via :func:`fire`/:func:`before_write`

@@ -249,21 +249,6 @@ def load_generation(gen_dir: str | Path) -> tuple[StorageEngine, dict]:
     return engine, manifest
 
 
-def _load_snapshot(directory: str | Path) -> StorageEngine:
-    """Reconstruct an engine from the newest snapshot generation.
-
-    Verifies checksums; raises :class:`~repro.errors.SnapshotError` when
-    the newest generation is damaged (use :func:`recover` to fall back to
-    older generations and replay the WAL).
-    """
-    root = Path(directory)
-    generations = _generation_dirs(root)
-    if not generations:
-        raise StorageError(f"no snapshot found at {root}")
-    engine, _ = load_generation(generations[-1])
-    return engine
-
-
 def recover(
     directory: str | Path, wal_path: str | Path | None = None
 ) -> StorageEngine:

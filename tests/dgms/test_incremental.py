@@ -329,6 +329,39 @@ class TestDeltaMergeFaults:
         assert sorted(map(str, recovered.cube.flat.to_rows())) == reference
 
 
+class TestLazyHistoryReads:
+    """Reading ``transformed``/``source`` folds delta parts without a lock."""
+
+    @pytest.mark.parametrize("view", ["transformed", "source"])
+    def test_batch_ingested_inside_the_fold_is_kept(self, view, monkeypatch):
+        """An ingest that lands while a read is folding is not lost."""
+        source = _cohort()
+        system = DDDGMS(source)
+        first = _batch_for(source, seed=99)
+        system.ingest_visits(first, batch="y2")
+        second = _batch_for(source.append(first), seed=100)
+        fold = Table.concat_all
+        armed = [True]
+
+        def concat_with_ingest(cls, tables):
+            parts = list(tables)  # the fold has read its input ...
+            if armed.pop() if armed else False:
+                # ... when the writer commits the next batch
+                system.ingest_visits(second, batch="y3")
+            return fold(parts)
+
+        monkeypatch.setattr(Table, "concat_all", classmethod(concat_with_ingest))
+        getattr(system, view)
+        monkeypatch.undo()
+        assert not armed, "the read never folded"
+        assert system.maintenance["delta_publishes"] == 2
+        stored = system.operational_store.row_count("attendances")
+        assert stored == source.num_rows + first.num_rows + second.num_rows
+        assert system.transformed.num_rows == stored
+        assert system.source.num_rows == stored
+        assert system.cube.flat.num_rows == stored
+
+
 class _DeltaVsRebuildMachine(RuleBasedStateMachine):
     """Random interleavings of the public write/read surface.
 

@@ -8,6 +8,7 @@ faults retry with backoff; a permanently failing lattice degrades to
 un-materialised queries instead of failing the batch.
 """
 
+import datetime as dt
 import warnings
 
 import pytest
@@ -17,7 +18,8 @@ from repro.dgms.system import DDDGMS
 from repro.discri.generator import DiScRiGenerator, offset_identifiers
 from repro.errors import PermanentIngestError
 from repro.etl.quarantine import QuarantineStore
-from repro.storage import faults
+from repro.knowledge.findings import Evidence, FindingKind
+from repro.storage import StorageEngine, checkpoint, faults
 from repro.storage.faults import FaultPlan, FaultRule, SimulatedCrash
 from repro.tabular.table import Table
 from repro.warehouse.feedback import FeedbackDimensionBuilder, FeedbackEntry
@@ -138,6 +140,161 @@ class TestKillRecoverReingest:
         before = _warehouse_rows(system)
         assert system.ingest_visits(clean_reference["batch"], batch="y2") == 0
         assert _warehouse_rows(system) == before
+
+
+def _kb_state(system) -> dict:
+    """Everything the base knows, by key: kind, claim, tags, evidence, status."""
+    return {
+        key: (f.kind, f.statement, f.tags, tuple(f.evidence), f.status)
+        for key, f in system.knowledge_base._findings.items()
+    }
+
+
+def _record(key, weight):
+    return lambda system: system.record_finding(
+        key, FindingKind.TREND, f"claim {key}", source="test",
+        description=f"weight {weight}", weight=weight, tags=[key, "kb"],
+    )
+
+
+def _promote_ready(system):
+    return system.knowledge_base.promote_ready()
+
+
+#: per operation: unarmed setup steps, then ``(step, armed)`` pairs.  Each
+#: arms two commits (and, for the two-promotion commit, two appends in
+#: one), so a kill at ``nth=1`` and at ``nth=2`` both land inside it.
+KB_OPERATIONS = {
+    "record_finding": ([], [(_record("a", 1.0), True), (_record("a", 2.0), True)]),
+    "promote_ready": (
+        [_record("a", 3.0), _record("b", 3.0)],
+        [(_promote_ready, True), (_record("c", 3.0), False), (_promote_ready, True)],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def kb_clean_states():
+    """Per operation, the base's state before each step and after the last."""
+    states = {}
+    for name, (setup, steps) in KB_OPERATIONS.items():
+        system = DDDGMS(_cohort())
+        for step in setup:
+            step(system)
+        states[name] = [_kb_state(system)]
+        for step, _ in steps:
+            step(system)
+            states[name].append(_kb_state(system))
+    return states
+
+
+class TestKnowledgeBaseRecovery:
+    def test_findings_survive_recovery(self, tmp_path):
+        """Record, reinforce per batch, promote, retire; recover the same base."""
+        root = tmp_path / "sys"
+        source = _cohort()
+        system = DDDGMS(source, durable_root=root)
+        system.record_finding(
+            "loop.fbg", FindingKind.TREND, "fbg band rises with age",
+            source="olap", description="initial build", tags=["glucose", "age"],
+        )
+        system.knowledge_base.record(
+            "loop.bmi", FindingKind.AGGREGATE, "bmi is flat across bands",
+            Evidence("olap", "initial build", 0.5, recorded=dt.date(2013, 4, 8)),
+            tags=["bmi"],
+        )
+        history = source
+        for year in (2, 3, 4):
+            batch = _batch_for(history, seed=90 + year)
+            system.ingest_visits(batch, batch=f"y{year}")
+            history = history.append(batch)
+            system.record_finding(
+                "loop.fbg", FindingKind.TREND, "fbg band rises with age",
+                source="olap", description=f"batch y{year}",
+            )
+            if year == 3:
+                # later events come back from the log, earlier ones from
+                # the generation's column block
+                checkpoint(system.operational_store, root / "snaps")
+        assert [f.key for f in system.knowledge_base.promote_ready()] == [
+            "loop.fbg"
+        ]
+        system.knowledge_base.retire("loop.bmi", "contradicted by batch y4")
+        before = _kb_state(system)
+        promoted = {f.key for f in system.knowledge_base.promoted()}
+        del system
+
+        recovered = DDDGMS.recover(root)
+        assert _kb_state(recovered) == before
+        assert {f.key for f in recovered.knowledge_base.promoted()} == promoted
+        fbg = recovered.knowledge_base.get("loop.fbg")
+        assert [e.description for e in fbg.evidence] == [
+            "initial build", "batch y2", "batch y3", "batch y4",
+        ]
+
+        # the recovered base journals on: a new finding survives the next crash
+        recovered.record_finding(
+            "loop.new", FindingKind.FEEDBACK, "a later finding",
+            source="clinician", description="after recovery",
+        )
+        after = _kb_state(recovered)
+        del recovered
+        assert _kb_state(DDDGMS.recover(root)) == after
+
+    def test_root_without_the_events_table_recovers(self, tmp_path, monkeypatch):
+        """A root written before the journal existed gains the table."""
+        root = tmp_path / "sys"
+        create_table = StorageEngine.create_table
+
+        def without_events(self, name, *args, **kwargs):
+            if name != "knowledge_events":
+                return create_table(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(StorageEngine, "create_table", without_events)
+        DDDGMS(_cohort(), durable_root=root)
+        monkeypatch.undo()
+        recovered = DDDGMS.recover(root)
+        assert len(recovered.knowledge_base) == 0
+        _record("a", 1.0)(recovered)
+        before = _kb_state(recovered)
+        del recovered
+        assert _kb_state(DDDGMS.recover(root)) == before
+
+
+class TestKillDuringKnowledgeCommit:
+    @pytest.mark.parametrize("nth", [1, 2])
+    @pytest.mark.parametrize("point", ["wal.append", "wal.commit", "wal.sync"])
+    @pytest.mark.parametrize("operation", sorted(KB_OPERATIONS))
+    def test_event_is_whole_or_absent(
+        self, operation, point, nth, kb_clean_states, tmp_path
+    ):
+        setup, steps = KB_OPERATIONS[operation]
+        states = kb_clean_states[operation]
+        root = tmp_path / "sys"
+        system = DDDGMS(_cohort(), durable_root=root)
+        for step in setup:
+            step(system)
+        plan = FaultPlan([FaultRule(point, mode="kill", nth=nth)])
+        crashed_at = None
+        for index, (step, armed) in enumerate(steps):
+            assert _kb_state(system) == states[index]
+            if armed:
+                faults.install(plan)
+            try:
+                step(system)
+            except SimulatedCrash:
+                crashed_at = index
+                break
+            finally:
+                faults.uninstall()
+        assert crashed_at is not None, f"{point}@{nth} never fired"
+        # the failed commit left every finding, evidence list and status
+        # exactly as it was before the call
+        assert _kb_state(system) == states[crashed_at]
+        del system
+
+        recovered = _kb_state(DDDGMS.recover(root))
+        assert recovered in (states[crashed_at], states[crashed_at + 1])
 
 
 class TestDirtyBatch:

@@ -1,11 +1,18 @@
 """Tests for findings, the knowledge base, ontology and guidelines."""
 
+import datetime as dt
+
 import pytest
 
 from repro.errors import KnowledgeBaseError, PromotionError
 from repro.knowledge.findings import Evidence, Finding, FindingKind
 from repro.knowledge.guidelines import draft_guidelines
-from repro.knowledge.kb import KnowledgeBase
+from repro.knowledge.kb import (
+    KnowledgeBase,
+    KnowledgeEvent,
+    event_row,
+    events_from_rows,
+)
 from repro.knowledge.ontology import Concept, Ontology, ontology_from_schema
 from repro.discri.schemes import FBG_SCHEME
 from repro.tabular import Table
@@ -88,6 +95,104 @@ class TestKnowledgeBase:
     def test_describe(self, kb):
         kb.record("f", FindingKind.TREND, "claim text", Evidence("s", "d"))
         assert "claim text" in kb.describe()
+
+
+def _state(kb: KnowledgeBase) -> dict:
+    """Everything a base knows, by key: kind, claim, tags, evidence, status."""
+    return {
+        key: (f.kind, f.statement, f.tags, tuple(f.evidence), f.status)
+        for key, f in kb._findings.items()
+    }
+
+
+class TestJournal:
+    """Every mutation is an event: validated, journaled, then applied."""
+
+    @staticmethod
+    def _journaled(journal):
+        return KnowledgeBase(promotion_threshold=2.0, journal=journal)
+
+    @staticmethod
+    def _history(kb: KnowledgeBase) -> None:
+        kb.record("a", FindingKind.TREND, "A", Evidence("s", "d", 1.5),
+                  tags=["t1", "t2"])
+        kb.record("b", FindingKind.AGGREGATE, "B",
+                  Evidence("s", "d", 2.5, recorded=dt.date(2013, 4, 8)))
+        kb.record("a", FindingKind.TREND, "A", Evidence("s2", "d2", 1.0))
+        kb.promote_ready()
+        kb.record("c", FindingKind.FEEDBACK, "C", Evidence("s", "d"))
+        kb.retire("c", "contradicted")
+
+    def test_one_journal_call_per_mutation_in_order(self):
+        calls: list[list[KnowledgeEvent]] = []
+        kb = self._journaled(calls.append)
+        self._history(kb)
+        assert [[(e.op, e.key) for e in call] for call in calls] == [
+            [("record", "a")],
+            [("record", "b")],
+            [("record", "a")],
+            [("promote", "a"), ("promote", "b")],
+            [("record", "c")],
+            [("retire", "c")],
+        ]
+
+    def test_rows_replay_to_the_same_base(self):
+        calls: list[list[KnowledgeEvent]] = []
+        kb = self._journaled(calls.append)
+        self._history(kb)
+        events = [e for call in calls for e in call]
+        rows = [event_row(e, i) for i, e in enumerate(events, start=1)]
+        # a replayed promotion is a fact: a higher threshold does not undo it
+        replayed = KnowledgeBase(promotion_threshold=99.0)
+        for event in events_from_rows(reversed(rows)):
+            replayed.apply(event)
+        assert _state(replayed) == _state(kb)
+        assert sorted(f.key for f in replayed.promoted()) == ["a", "b"]
+
+    def test_a_failing_journal_leaves_the_base_unchanged(self):
+        ok = [True]
+
+        def journal(events):
+            if not ok[0]:
+                raise OSError("disk full")
+
+        kb = self._journaled(journal)
+        kb.record("a", FindingKind.TREND, "A", Evidence("s", "d", 2.0))
+        kb.record("b", FindingKind.TREND, "B", Evidence("s", "d", 1.0))
+        before = _state(kb)
+        ok[0] = False
+        for mutate in (
+            lambda: kb.record("new", FindingKind.TREND, "N", Evidence("s", "d")),
+            lambda: kb.record("b", FindingKind.TREND, "B", Evidence("s", "d")),
+            lambda: kb.promote("a"),
+            kb.promote_ready,
+            lambda: kb.retire("b", "superseded"),
+        ):
+            with pytest.raises(OSError):
+                mutate()
+            assert _state(kb) == before
+
+    def test_rejected_and_no_op_mutations_journal_nothing(self):
+        calls: list = []
+        kb = self._journaled(calls.append)
+        kb.record("a", FindingKind.TREND, "A", Evidence("s", "d", 0.5))
+        kb.record("p", FindingKind.TREND, "P", Evidence("s", "d", 2.0))
+        kb.promote("p")
+        kb.retire("a", "superseded")
+        journaled = len(calls)
+        with pytest.raises(KnowledgeBaseError):
+            kb.record("a", FindingKind.TREND, "A", Evidence("s", "d"))
+        with pytest.raises(KnowledgeBaseError):
+            kb.record("p", FindingKind.TREND, "other claim", Evidence("s", "d"))
+        with pytest.raises(KnowledgeBaseError):
+            kb.retire("a", "again")
+        kb.record("w", FindingKind.TREND, "W", Evidence("s", "d", 0.5))
+        journaled += 1
+        with pytest.raises(PromotionError):
+            kb.promote("w")
+        kb.promote("p")  # already promoted
+        assert kb.promote_ready() == []
+        assert len(calls) == journaled
 
 
 class TestOntology:

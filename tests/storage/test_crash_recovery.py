@@ -24,11 +24,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SnapshotError, WALCorruptionError
-from repro.persistence import save
 from repro.storage import faults
 from repro.storage.engine import StorageEngine
 from repro.storage.faults import FaultPlan, FaultRule, SimulatedCrash
-from repro.storage.persistence import checkpoint, recover
+from repro.storage.persistence import _save_snapshot, checkpoint, recover
 from repro.storage.wal import HEADER_SIZE, WriteAheadLog
 from repro.tabular.table import Table
 
@@ -252,7 +251,7 @@ def test_recover_falls_back_past_corrupt_generation(tmp_path):
     db = _fresh_store(tmp_path)
     with db.transaction():
         db.insert("t", {"k": 1, "v": "x", "d": None})
-    save(db, tmp_path / "snaps")
+    _save_snapshot(db, tmp_path / "snaps")
     generations = sorted((tmp_path / "snaps").glob("gen-*"))
     # vandalise the newest generation's data file
     newest = generations[-1]

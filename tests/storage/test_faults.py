@@ -1,6 +1,11 @@
 """Tests for the fault-injection layer itself."""
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.errors import InjectedFault, StorageError
 from repro.storage import faults
@@ -179,3 +184,21 @@ class TestArmTimeValidation:
         assert "wal.commit" in points
         assert "snapshot.manifest" in points
         assert "snapshot.manifest.rename" in points
+
+
+def test_every_core_point_is_fired_somewhere():
+    """A registered point no module names can never fire: a rule armed at
+    it would stay silently green.  Every core point except the derived
+    ``.rename`` halves must appear as a string literal in a ``repro``
+    module other than the registry itself."""
+    package = Path(repro.__file__).parent
+    registry = package / "storage" / "faults.py"
+    literals: set[str] = set()
+    for path in package.rglob("*.py"):
+        if path == registry:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                literals.add(node.value)
+    derived = {p + ".rename" for p in faults._ATOMIC_WRITE_POINTS}
+    assert sorted(faults.CORE_POINTS - derived - literals) == []

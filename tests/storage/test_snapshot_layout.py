@@ -5,10 +5,13 @@ import json
 import pytest
 
 from repro.errors import ChecksumError, SnapshotError, StorageError
-from repro.persistence import load, save
 from repro.storage.engine import StorageEngine
-from repro.storage.persistence import load_generation, table_filename
-from tests._persistence import raises_from
+from repro.storage.persistence import (
+    _save_snapshot as save,
+    load_generation,
+    recover,
+    table_filename,
+)
 
 
 def _engine_with(*names: str) -> StorageEngine:
@@ -37,7 +40,7 @@ class TestGenerations:
         with db.transaction():
             db.insert("t", {"k": 100})
         save(db, tmp_path)
-        loaded = load(tmp_path)
+        loaded = recover(tmp_path)
         assert loaded.row_count("t") == 2
 
     def test_manifest_records_digests_for_every_file(self, tmp_path):
@@ -68,15 +71,15 @@ class TestGenerations:
             load_generation(gen)
 
     def test_no_snapshot_raises(self, tmp_path):
-        with raises_from(StorageError, "no snapshot"):
-            load(tmp_path / "absent", kind="storage")
+        with pytest.raises(SnapshotError, match="no recoverable snapshot"):
+            recover(tmp_path / "absent")
 
 
 class TestNameSanitisation:
     def test_reserved_names_do_not_collide_with_metadata_files(self, tmp_path):
         db = _engine_with("catalog", "MANIFEST")
         gen = save(db, tmp_path)
-        loaded = load(tmp_path)
+        loaded, _ = load_generation(gen)
         assert loaded.table_names() == ["MANIFEST", "catalog"]
         assert loaded.row_count("catalog") == 1
         # metadata files are untouched by the table data
@@ -92,18 +95,18 @@ class TestNameSanitisation:
             if p.is_file() and gen not in p.parents
         ]
         assert outside == []
-        loaded = load(tmp_path / "snaps")
+        loaded, _ = load_generation(gen)
         assert loaded.table_names() == sorted(["../evil", "a/b", "c\\d"])
 
     def test_unicode_and_spaces_round_trip(self, tmp_path):
         names = ["weird name", "ünïcode", "pct%20already"]
         db = _engine_with(*names)
-        save(db, tmp_path)
-        assert load(tmp_path).table_names() == sorted(names)
+        loaded, _ = load_generation(save(db, tmp_path))
+        assert loaded.table_names() == sorted(names)
 
     def test_casefold_collision_rejected(self, tmp_path):
         db = _engine_with("visits", "VISITS")
-        with raises_from(StorageError, "collide"):
+        with pytest.raises(StorageError, match="collide"):
             save(db, tmp_path)
 
     def test_empty_table_name_rejected(self):

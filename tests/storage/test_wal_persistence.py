@@ -5,13 +5,12 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from repro.errors import StorageError, WALCorruptionError
-from repro.persistence import load, save
+from repro.errors import SnapshotError, StorageError, WALCorruptionError
 from repro.storage.durable import ColumnBlock
 from repro.storage.engine import StorageEngine, replay_into
+from repro.storage.persistence import _save_snapshot, load_generation, recover
 from repro.storage.wal import HEADER_SIZE, WriteAheadLog
 from repro.tabular.table import Table
-from tests._persistence import raises_from
 
 
 def _block(*rows: dict, first_id: int = 0) -> ColumnBlock:
@@ -205,22 +204,19 @@ def populated():
 
 class TestSnapshots:
     def test_round_trip_values_and_dates(self, populated, tmp_path):
-        save(populated, tmp_path / "snap")
-        loaded = load(tmp_path / "snap")
+        loaded, _ = load_generation(_save_snapshot(populated, tmp_path / "snap"))
         assert loaded.scan("visits").equals(populated.scan("visits"))
 
     def test_indexes_rebuilt(self, populated, tmp_path):
-        save(populated, tmp_path / "snap")
-        loaded = load(tmp_path / "snap")
+        loaded, _ = load_generation(_save_snapshot(populated, tmp_path / "snap"))
         assert len(loaded.find("visits", "pid", 7)) == 2
 
     def test_missing_snapshot_raises(self, tmp_path):
-        with raises_from(StorageError, "no snapshot"):
-            load(tmp_path / "absent", kind="storage")
+        with pytest.raises(SnapshotError, match="no recoverable snapshot"):
+            recover(tmp_path / "absent")
 
     def test_schema_metadata_preserved(self, populated, tmp_path):
-        save(populated, tmp_path / "snap")
-        loaded = load(tmp_path / "snap")
+        loaded, _ = load_generation(_save_snapshot(populated, tmp_path / "snap"))
         assert loaded.catalog.get("visits").primary_key == "vid"
 
 
