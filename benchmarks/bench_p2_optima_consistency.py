@@ -8,18 +8,12 @@ model (remove exercise/ECG, add a synthetic outcome dimension) and checks
 the optimum never moves.
 """
 
-from repro.discri.generator import DiScRiGenerator
-from repro.discri.warehouse import build_discri_warehouse
 from repro.optimize.consistency import check_dimension_consistency
 from repro.warehouse.feedback import outcome_dimension
 
-_PATIENTS = 400  # private build: the check mutates the warehouse
 
-
-def test_p2_consistency_under_dimension_changes(benchmark, emit):
-    built = build_discri_warehouse(
-        DiScRiGenerator(n_patients=_PATIENTS, seed=5).generate()
-    )
+def test_p2_consistency_under_dimension_changes(benchmark, emit, built):
+    # the check only reads the warehouse, so the shared `built` fixture serves
     extra = outcome_dimension("synthetic_outcome", ["improved", "stable", "worse"])
 
     def check():

@@ -53,7 +53,6 @@ __all__ = [
     "ServingRuntime",
     "StorageConfig",
     "PartitioningSpec",
-    "PlannerConfig",
     "QueryPlanner",
     "Deadline",
     "ServingOverloadError",
@@ -85,10 +84,6 @@ def open_system(source, *, config: "SystemConfig | None" = None) -> "DDDGMS":
             slow_query_threshold_s=settings.slow_query_threshold_s,
         )
     system = DDDGMS(source, promotion_threshold=settings.promotion_threshold)
-    if settings.planner is not True:
-        # True is the constructor default (a fresh planner is already
-        # attached); anything else replaces or detaches it
-        system.attach_planner(settings.planner)
     if settings.storage is not None and settings.storage is not False:
         system.attach_storage(settings.storage)
     if settings.cache is not None and settings.cache is not False:
@@ -110,7 +105,6 @@ _LAZY_EXPORTS = {
     "ServingRuntime": ("repro.serving.admission", "ServingRuntime"),
     "StorageConfig": ("repro.storage.columnar", "StorageConfig"),
     "PartitioningSpec": ("repro.storage.columnar", "PartitioningSpec"),
-    "PlannerConfig": ("repro.planner", "PlannerConfig"),
     "QueryPlanner": ("repro.planner", "QueryPlanner"),
     "Deadline": ("repro.serving.resilience", "Deadline"),
     "ServingOverloadError": ("repro.errors", "ServingOverloadError"),

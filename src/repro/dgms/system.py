@@ -44,7 +44,7 @@ from repro.olap.crosstab import Crosstab
 from repro.olap.cube import Cube, CubeRuntime, CubeSnapshot
 from repro.olap.mdx.evaluator import execute_mdx
 from repro.olap.query import QueryBuilder
-from repro.planner import PlannerConfig, QueryPlanner, coerce_planner
+from repro.planner import QueryPlanner
 from repro.serving import resilience
 from repro.serving.admission import ServingConfig, ServingRuntime, coerce_serving
 from repro.serving.cache import CacheConfig, ResultCache, coerce_cache
@@ -176,15 +176,6 @@ class SystemConfig:
     (partitioning spec, per-column encodings).  Filtered
     queries then prune partitions via zone maps before any kernel runs —
     answers stay byte-identical.
-
-    ``planner`` attaches the cost-based query planner (DESIGN.md
-    §"Cost-based planning"): ``True`` (the default) for a fresh planner
-    with default knobs, a :class:`~repro.planner.PlannerConfig` for
-    explicit ones, a ready :class:`~repro.planner.QueryPlanner` to share
-    learned route calibrations between systems, ``None``/``False`` to
-    disable recording and routing entirely.  While its statistics are
-    cold the planner changes nothing — answers and lattice hit counters
-    are identical to an unattached system.
     """
 
     observability: str = ""
@@ -194,7 +185,6 @@ class SystemConfig:
     cache: "ResultCache | CacheConfig | int | bool | None" = None
     serving: "ServingRuntime | ServingConfig | bool | None" = None
     storage: "object | bool | None" = None
-    planner: "QueryPlanner | PlannerConfig | bool | None" = True
 
 
 class DDDGMS:
@@ -261,11 +251,10 @@ class DDDGMS:
         #: serialises ingest/fold/redrive against each other; readers never
         #: take it — they pin epochs instead (see DESIGN.md serving model)
         self._writer_lock = threading.RLock()
-        #: result cache, admission gate, planner and storage config — one
-        #: holder shared by reference with every cube this system builds,
-        #: so a rebuilt successor cube serves with the same objects (the
-        #: planner is on from the start: cold, it changes nothing)
-        self.runtime = CubeRuntime(planner=QueryPlanner())
+        #: result cache, admission gate, route counts and storage config —
+        #: one holder shared by reference with every cube this system
+        #: builds, so a rebuilt successor cube serves with the same objects
+        self.runtime = CubeRuntime()
         with obs.span("dgms.build", rows=source.num_rows):
             fresh_store = _operational is None
             with obs.span("dgms.load_operational"):
@@ -455,21 +444,9 @@ class DDDGMS:
         self.runtime.serving = coerce_serving(serving)
         return self.runtime.serving
 
-    def attach_planner(
-        self, planner: "QueryPlanner | PlannerConfig | bool | None"
-    ) -> QueryPlanner | None:
-        """Attach (or detach, with ``None``) the cost-based query planner.
-
-        Accepts every ``SystemConfig(planner=...)`` spelling.  The
-        route calibrations it learns describe the *system*, not one
-        epoch: every rebuilt cube shares the planner.
-        """
-        self.runtime.planner = coerce_planner(planner)
-        return self.runtime.planner
-
     @property
-    def planner(self) -> QueryPlanner | None:
-        """The attached query planner, if any."""
+    def planner(self) -> QueryPlanner:
+        """The lattice's route chooser; its route counts span rebuilds."""
         return self.runtime.planner
 
     @property
@@ -1350,11 +1327,7 @@ class DDDGMS:
                 **self.maintenance,
                 "fallback_reasons": dict(self.maintenance["fallback_reasons"]),
             },
-            "planner": (
-                runtime.planner.snapshot()
-                if runtime.planner is not None
-                else None
-            ),
+            "planner": runtime.planner.snapshot(),
             "result_cache": (
                 runtime.cache.stats_snapshot()
                 if runtime.cache is not None

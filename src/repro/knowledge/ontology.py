@@ -5,14 +5,12 @@ concerns such as ontology generation" (paper §IV).  The warehouse already
 encodes most of a domain ontology: dimensions are top concepts, their
 attributes sub-concepts, hierarchy levels *is-refined-by* chains, and
 discretisation schemes enumerate qualitative value concepts.  This module
-extracts that structure into an explicit concept graph (networkx).
+extracts that structure into an explicit concept graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from repro.errors import KnowledgeBaseError
 from repro.etl.discretization import DiscretizationScheme
@@ -40,49 +38,70 @@ class Ontology:
     """
 
     name: str
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    #: concept name -> kind, in insertion order
+    kinds: dict[str, str] = field(default_factory=dict)
+    #: parent -> {child: relation}
+    edges: dict[str, dict[str, str]] = field(default_factory=dict)
 
     def add_concept(self, concept: Concept) -> None:
         """Insert a node (idempotent)."""
-        self.graph.add_node(concept.name, kind=concept.kind)
+        self.kinds[concept.name] = concept.kind
+        self.edges.setdefault(concept.name, {})
 
     def relate(self, parent: str, child: str, relation: str) -> None:
         """Insert a typed edge; both concepts must exist."""
         for node in (parent, child):
-            if node not in self.graph:
+            if node not in self.kinds:
                 raise KnowledgeBaseError(f"unknown concept {node!r}")
-        self.graph.add_edge(parent, child, relation=relation)
+        self.edges[parent][child] = relation
 
     def children(self, concept: str, relation: str | None = None) -> list[str]:
         """Direct children, optionally filtered by relation."""
-        out = []
-        for __, child, data in self.graph.out_edges(concept, data=True):
-            if relation is None or data.get("relation") == relation:
-                out.append(child)
-        return sorted(out)
+        return sorted(
+            child
+            for child, rel in self.edges.get(concept, {}).items()
+            if relation is None or rel == relation
+        )
 
     def concepts_of_kind(self, kind: str) -> list[str]:
         """All concept names of one kind."""
-        return sorted(
-            n for n, data in self.graph.nodes(data=True) if data.get("kind") == kind
-        )
+        return sorted(n for n, k in self.kinds.items() if k == kind)
 
     def is_consistent(self) -> bool:
         """No cycles — an ontology's refinement graph must be a DAG."""
-        return nx.is_directed_acyclic_graph(self.graph)
+        # iterative DFS: a child still on the stack closes a cycle
+        done: set[str] = set()
+        on_stack: set[str] = set()
+        for start in self.edges:
+            if start in done:
+                continue
+            on_stack.add(start)
+            stack = [(start, iter(self.edges[start]))]
+            while stack:
+                node, pending = stack[-1]
+                child = next(pending, None)
+                if child is None:
+                    stack.pop()
+                    on_stack.discard(node)
+                    done.add(node)
+                elif child in on_stack:
+                    return False
+                elif child not in done:
+                    on_stack.add(child)
+                    stack.append((child, iter(self.edges[child])))
+        return True
 
     def to_text(self) -> str:
         """Indented tree rendering from the root."""
         lines: list[str] = []
 
         def render(node: str, depth: int) -> None:
-            kind = self.graph.nodes[node].get("kind", "?")
-            lines.append("  " * depth + f"{node} [{kind}]")
+            lines.append("  " * depth + f"{node} [{self.kinds[node]}]")
             for child in self.children(node):
                 render(child, depth + 1)
 
-        roots = [n for n in self.graph.nodes if self.graph.in_degree(n) == 0]
-        for root in sorted(roots):
+        children = {child for out in self.edges.values() for child in out}
+        for root in sorted(n for n in self.kinds if n not in children):
             render(root, 0)
         return "\n".join(lines)
 

@@ -132,43 +132,12 @@ class ExplainReport:
             }
         return None
 
-    def cost_stats(self) -> list[dict]:
-        """Estimated vs. actual cost per planned stage, if a planner ran.
-
-        One entry per plan node that carries an ``est_cost_ms``
-        estimate (the cost-based planner stamps it onto
-        ``lattice.lookup`` and ``scan.base`` spans at decision time):
-        ``{op, est_cost_ms, actual_ms, ...}`` plus whichever routing
-        attributes the stage recorded (``route``, ``outcome``,
-        ``fallback_reason``, ``node``, ``est_rows``).  Empty when no
-        planner is attached — estimates are opt-in, measurements are
-        not.
-        """
-        entries = []
-        for node in self.plan.walk():
-            if "est_cost_ms" not in node.attrs:
-                continue
-            entry = {
-                "op": node.op,
-                "est_cost_ms": node.attrs["est_cost_ms"],
-                "actual_ms": node.duration_ms,
-            }
-            for key in (
-                "route", "outcome", "fallback_reason", "node", "est_rows",
-                "node_cells", "planned",
-            ):
-                if key in node.attrs:
-                    entry[key] = node.attrs[key]
-            entries.append(entry)
-        return entries
-
     def fallback_reasons(self) -> list[str]:
         """Every ``fallback_reason`` recorded in the plan, in plan order.
 
         Distinguishes *why* a stage fell back to the base scan:
-        ``"epoch_mismatch"`` (staleness guard), ``"no_covering_node"``
-        (lattice coverage miss) or ``"planner_cost"`` (the cost-based
-        router preferred the pruned scan).
+        ``"epoch_mismatch"`` (staleness guard) or ``"no_covering_node"``
+        (lattice coverage miss).
         """
         return [
             node.attrs["fallback_reason"]

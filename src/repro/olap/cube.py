@@ -14,8 +14,7 @@ view.  :meth:`Cube.snapshot` hands out an explicit pinned read view.
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Hashable, Mapping, NamedTuple, Sequence
 
 from repro import obs
@@ -26,6 +25,7 @@ from repro.errors import (
     UnknownLevelError,
 )
 from repro.olap.aggregates import validate_aggregation
+from repro.planner.router import QueryPlanner
 from repro.serving import resilience
 from repro.serving.epoch import next_epoch_id
 from repro.serving.resilience import checkpoint
@@ -41,7 +41,6 @@ from repro.warehouse.star import StarSchema
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.olap.materialized import MaterializedCube
     from repro.olap.query import QueryBuilder
-    from repro.planner import QueryPlanner
     from repro.serving.admission import ServingRuntime
     from repro.serving.cache import ResultCache
     from repro.storage.columnar import PartitionedStore, StorageConfig
@@ -215,7 +214,7 @@ def _partition_detail(stats) -> str:
 
 @dataclass(slots=True)
 class CubeRuntime:
-    """What a cube serves *with*: cache, admission, planner, storage config.
+    """What a cube serves *with*: cache, admission, route counts, storage config.
 
     One small mutable holder, shared **by reference**: ``DDDGMS`` creates
     one and hands it to every cube it builds (and every snapshot those
@@ -231,8 +230,8 @@ class CubeRuntime:
     cache: "ResultCache | None" = None
     #: admission gate + default deadline for the query front-ends
     serving: "ServingRuntime | None" = None
-    #: route calibrations + cost-based routing (cold, it changes nothing)
-    planner: "QueryPlanner | None" = None
+    #: the lattice's route chooser and its per-kind route counts
+    planner: QueryPlanner = field(default_factory=QueryPlanner)
     #: partitioning/encoding of every *future* epoch build
     storage: "StorageConfig | None" = None
 
@@ -248,20 +247,6 @@ class AggregatePlan(NamedTuple):
     force: bool
     #: canonical request identity (:func:`plan_key`) — the cache key
     key: Hashable
-    #: the planner pinned for this query (None: route by the fixed preference)
-    planner: "QueryPlanner | None"
-    #: zone-map row estimate for the base route (0 without a planner)
-    base_rows: int
-
-
-class Executed(NamedTuple):
-    """What the execute stage ran: the answer plus its measured route cost."""
-
-    table: Table
-    #: ``"node"`` (work units: node cells) or ``"base"`` (estimated rows)
-    kind: str
-    units: int
-    ms: float
 
 
 def _guarded(dependency: str, fn: Callable, *args) -> tuple[bool, object]:
@@ -351,8 +336,8 @@ class _CubeReads:
         return self._lattice
 
     @property
-    def planner(self) -> "QueryPlanner | None":
-        """The attached query planner, if any."""
+    def planner(self) -> QueryPlanner:
+        """The route chooser the lattice consults (and its route counts)."""
         return self.runtime.planner
 
     # ------------------------------------------------------------------
@@ -435,7 +420,7 @@ class _CubeReads:
         return QueryBuilder(self)
 
     # ------------------------------------------------------------------
-    # The read pipeline: plan → cache → route → execute → record → put
+    # The read pipeline: plan → cache → route → execute → put
     # ------------------------------------------------------------------
 
     def _plan(
@@ -449,22 +434,16 @@ class _CubeReads:
         """Resolve one request against ``state`` — once per query.
 
         Everything later stages need is decided here and carried in the
-        record: the qualified levels, the cache key, the planner pinned
-        for the query, and (under a planner) the zone-map row estimate
-        that routing and the ``scan.base`` estimate stamp share.
+        record: the qualified levels, the defaulted aggregations and the
+        cache key.
         """
         qualified = tuple([self.check_level(level, state) for level in levels])
         aggregations = dict(
             aggregations or {self.RECORDS: (self.RECORDS, "size")}
         )
-        planner = self.runtime.planner
-        base_rows = 0
-        if planner is not None:
-            base_rows = planner.estimate_base_rows(state, filters)
         return AggregatePlan(
             qualified, aggregations, filters, bool(force),
             plan_key(qualified, aggregations, filters, force),
-            planner, base_rows,
         )
 
     def _aggregate(
@@ -480,8 +459,8 @@ class _CubeReads:
 
         Linear, stage for stage (DESIGN.md §"The read pipeline"):
         **plan** once → **cache probe** → **route + execute** (a lattice
-        node, or the base scan) → **record** the route's cost → **cache
-        put**.  The cache and lattice rungs each run behind
+        node, or the base scan) → **cache put**.  The cache and lattice
+        rungs each run behind
         :func:`_guarded` and degrade one rung down on dependency faults:
         a broken cache means recompute (never a failed query), a broken
         lattice means a base scan.  The base scan is the bottom rung —
@@ -511,21 +490,14 @@ class _CubeReads:
                 else:
                     cache = None  # recompute rung (skip the put too)
 
-            ran: Executed | None = None
-            if cached is None:
+            result = cached
+            if result is None:
                 if lattice is not None and lattice.fresh_for_state(state):
-                    _, ran = _guarded("lattice", lattice.answer, plan, state)
-                if ran is None:
-                    ran = self._scan_base(plan, state)
-
-            # every computed answer calibrates the planner's cost model;
-            # route *overrides* only start once it has seen enough of
-            # both routes
-            if plan.planner is not None and ran is not None:
-                plan.planner.observe_route(ran.kind, ran.ms, ran.units)
-            result = cached if ran is None else ran.table
+                    _, result = _guarded("lattice", lattice.answer, plan, state)
+                if result is None:
+                    result = self._scan_base(plan, state)
             sp.set(cells=result.num_rows)
-            if ran is not None and cache is not None:
+            if cached is None and cache is not None:
                 # stored only after full success: a timed-out or
                 # cancelled query never reaches this line
                 _guarded("cache", _cache_put, cache, state.epoch, plan.key, result)
@@ -549,29 +521,19 @@ class _CubeReads:
                 obs.count("olap.groupby_cache.hit")
             return grouped
 
-    def _scan_base(self, plan: AggregatePlan, state: CubeState) -> Executed:
+    def _scan_base(self, plan: AggregatePlan, state: CubeState) -> Table:
         """The base route: aggregate by scanning the epoch's fact rows.
 
         The bottom rung of the ladder and the reference every other
-        route is checked against; also how lattice nodes are built.  It
-        records nothing — callers that serve a query do (the pipeline's
-        record stage).
+        route is checked against; also how lattice nodes are built.
         """
-        started = time.perf_counter()
         qualified = plan.levels
         filters = plan.filters
         obs.count("olap.aggregate.base_scans")
         with obs.span("scan.base", source="fact table") as scan_sp:
-            if plan.planner is not None:
-                # estimate-before-measure: the zone-map row guess and its
-                # cost translation land on the span *before* the scan, so
-                # explain() can put est_cost_ms next to the measured time
-                scan_sp.set(
-                    est_rows=plan.base_rows,
-                    est_cost_ms=round(
-                        plan.planner.cost.estimate_base_ms(plan.base_rows), 4
-                    ),
-                )
+            # the zone-map row guess lands on the span before the scan,
+            # next to the rows_scanned the scan then measures
+            scan_sp.set(est_rows=QueryPlanner.estimate_base_rows(state, filters))
             # bottom rung of the degradation ladder: the serving.scan
             # fault point fires un-wrapped here — there is nothing left
             # to degrade to, so injected errors propagate typed
@@ -643,11 +605,7 @@ class _CubeReads:
             # a filtered slice, or no levels: the grand total is the
             # zero-key group-by, one group over every row
             grouped = table.groupby(*qualified)
-        result = grouped.agg(**specs).sort_by(*qualified)
-        return Executed(
-            result, "base", plan.base_rows,
-            (time.perf_counter() - started) * 1000.0,
-        )
+        return grouped.agg(**specs).sort_by(*qualified)
 
 
 class Cube(_CubeReads):
@@ -918,21 +876,6 @@ class Cube(_CubeReads):
         ``None`` detaches.
         """
         self.runtime.cache = cache
-
-    def attach_planner(self, planner: "QueryPlanner | None") -> None:
-        """Record route costs and cost-route future queries.
-
-        Attached, every computed aggregate records its measured route
-        cost into the planner's
-        :class:`~repro.planner.stats.WorkloadStats`, plans carry
-        ``est_cost_ms`` next to the measured stage time, and — once the
-        cost model is calibrated — the lattice routes each covered
-        query to the cheapest of {covering node, pruned base scan}
-        instead of the fixed smallest-node preference.  While cold, the
-        routing behaviour (answers *and* hit counters) is identical to
-        an unattached cube.  ``None`` detaches.
-        """
-        self.runtime.planner = planner
 
     def attach_serving(self, serving: "ServingRuntime | None") -> None:
         """Put future query execution under ``serving``'s admission gate.

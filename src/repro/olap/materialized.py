@@ -9,9 +9,9 @@ module implements that classic design over :class:`~repro.olap.cube.Cube`:
   table with SUM/COUNT/MIN/MAX per measure plus the record count — one
   node after another in the calling thread, with a cancellation
   checkpoint between nodes, swapped in only once all of them are built;
-* :meth:`MaterializedCube.aggregate` answers a query from the covering
-  node :func:`repro.planner.router.choose_route` picks — means are
-  recomposed as Σsum/Σcount, so non-additive measures still roll up
+* :meth:`MaterializedCube.aggregate` answers a query from the smallest
+  covering node (:meth:`repro.planner.QueryPlanner.choose_route`) — means
+  are recomposed as Σsum/Σcount, so non-additive measures still roll up
   correctly — and falls back to the base cube when no node covers the
   request (or for ``nunique``, which is not decomposable);
 * :attr:`MaterializedCube.stats` records hits/fallbacks so benches can
@@ -23,15 +23,14 @@ DESIGN.md §5.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro import obs
 from repro.errors import OLAPError
 from repro.olap.aggregates import validate_aggregation
-from repro.olap.cube import AggregatePlan, Cube, CubeState, Executed
-from repro.planner.router import QueryPlanner, choose_route
+from repro.olap.cube import AggregatePlan, Cube, CubeState
+from repro.planner.router import QueryPlanner
 from repro.serving.resilience import checkpoint
 from repro.storage import faults
 from repro.tabular.expressions import Expression
@@ -126,7 +125,7 @@ class MaterializedCube:
             for qualified in qualified_groups:
                 checkpoint()
                 plan = self.cube._plan(state, qualified, aggregations, force=True)
-                table = self.cube._scan_base(plan, state).table
+                table = self.cube._scan_base(plan, state)
                 built.append(_Node(qualified, table, tuple(measure_names)))
 
             if self._pinned_state is not None and state is not self._pinned_state:
@@ -274,17 +273,16 @@ class MaterializedCube:
     ) -> Table:
         """Answer like :meth:`Cube.aggregate`, preferring the lattice.
 
-        The direct-call form of :meth:`answer` (no cache, no workload
-        recording).  ``state`` pins the epoch to answer for (callers
-        holding a snapshot pass theirs; ``None`` uses the cube's current
-        epoch).
+        The direct-call form of :meth:`answer` (no cache).  ``state``
+        pins the epoch to answer for (callers holding a snapshot pass
+        theirs; ``None`` uses the cube's current epoch).
         """
         if state is None:
             state = self.cube._current_state()
         plan = self.cube._plan(state, levels, aggregations, filters, force)
-        return self.answer(plan, state).table
+        return self.answer(plan, state)
 
-    def answer(self, plan: AggregatePlan, state: CubeState) -> Executed:
+    def answer(self, plan: AggregatePlan, state: CubeState) -> Table:
         """The read pipeline's lattice rung: epoch guard → route → execute.
 
         Filtered queries stay on the materialised path when every filter
@@ -292,9 +290,9 @@ class MaterializedCube:
         whole cells, which aggregate identically to the facts behind them.
         Anything else (``nunique``, level-valued targets, filters on
         non-materialised columns) is handed back to the base scan, as is
-        a request the router costs cheaper there and one for an epoch
-        these cells do not describe.  Every hand-back names its
-        ``fallback_reason`` on the ``lattice.lookup`` span.
+        a request for an epoch these cells do not describe.  Every
+        hand-back names its ``fallback_reason`` on the ``lattice.lookup``
+        span.
         """
         with obs.span("lattice.lookup", levels=",".join(plan.levels)) as sp:
             if state is not self._pinned_state:
@@ -315,27 +313,13 @@ class MaterializedCube:
                     plan.filters, self.RECORDS,
                     self.cube.schema.fact.measures,
                 )
-                decision = choose_route(
-                    plan.planner,
-                    [(",".join(c.levels), c.table.num_rows) for c in candidates],
-                    plan.base_rows,
-                )
-                if decision.est_cost_ms is not None:
-                    sp.set(
-                        est_cost_ms=round(decision.est_cost_ms, 4),
-                        route=decision.kind,
-                        planned=decision.reason,
-                    )
-                    if decision.deadline_risk:
-                        sp.set(deadline_risk=True)
+                decision = self.cube.runtime.planner.choose_route(candidates)
                 node = (
                     candidates[decision.node_index]
                     if decision.kind == "node"
                     else None
                 )
                 reason = decision.fallback_reason
-                if reason == "planner_cost":
-                    obs.count("olap.lattice.planner_reroute")
             if node is None:
                 self.stats.fallbacks += 1
                 obs.count("olap.lattice.fallback")
@@ -350,14 +334,9 @@ class MaterializedCube:
                 obs.count("olap.lattice.rollup_hit")
                 sp.set(outcome="rollup")
             sp.set(node=",".join(node.levels), node_cells=node.table.num_rows)
-            started = time.perf_counter()
-            table = self._answer_from_node(
+            return self._answer_from_node(
                 node, list(plan.levels), plan.aggregations, plan.filters,
                 plan.force,
-            )
-            return Executed(
-                table, "node", node.table.num_rows,
-                (time.perf_counter() - started) * 1000.0,
             )
 
     def _answer_from_node(

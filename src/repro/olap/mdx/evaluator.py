@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 from repro import obs
 from repro.errors import EvaluationError
-from repro.obs.explain import ExplainReport, profile
+from repro.obs.explain import ExplainReport, PlanNode, profile
 from repro.olap.crosstab import Crosstab
 from repro.olap.cube import Cube
 from repro.olap.mdx.ast import (
@@ -221,30 +222,33 @@ def execute_mdx(cube: Cube, query: MdxQuery | str) -> "Crosstab | ExplainReport"
     parse/resolve/aggregate/pivot timings, rows scanned, and whether a
     materialised lattice node or a base fact scan produced the numbers.
     The report's ``result`` attribute carries the grid.
+
+    A text query is parsed once, under the ``mdx.parse`` span; whether it
+    is an ``EXPLAIN`` is known only after that parse, so an ``EXPLAIN``
+    plan takes the parse's measured time as its first stage.
     """
-    if isinstance(query, str):
-        source = query
-        parsed = parse_mdx(source)
-    else:
-        source = query.render()
-        parsed = query
-
-    def run() -> Crosstab:
-        with obs.span("mdx.parse", chars=len(source)):
-            fresh = parse_mdx(source) if isinstance(query, str) else parsed
-        bare = replace(fresh, explain=False) if fresh.explain else fresh
-        return _evaluate(cube, bare)
-
-    if parsed.explain:
-        with serving_scope(cube):
-            result, plan = profile("mdx", run, query=source)
-        degraded = active_degradations()
-        if degraded:
-            plan.attrs["degraded"] = ",".join(sorted(degraded))
-        return ExplainReport(query=source, plan=plan, result=result)
+    source = query if isinstance(query, str) else query.render()
+    parse_ms = None
     with serving_scope(cube):
         with obs.span("mdx", query=source):
-            return run()
+            if isinstance(query, str):
+                started = time.perf_counter()
+                with obs.span("mdx.parse", chars=len(source)):
+                    query = parse_mdx(source)
+                parse_ms = (time.perf_counter() - started) * 1000.0
+            if not query.explain:
+                return _evaluate(cube, query)
+        bare = replace(query, explain=False)
+        result, plan = profile("mdx", lambda: _evaluate(cube, bare), query=source)
+    if parse_ms is not None:
+        plan.children.insert(
+            0, PlanNode("mdx.parse", round(parse_ms, 4), {"chars": len(source)})
+        )
+        plan.duration_ms = round(plan.duration_ms + parse_ms, 4)
+    degraded = active_degradations()
+    if degraded:
+        plan.attrs["degraded"] = ",".join(sorted(degraded))
+    return ExplainReport(query=source, plan=plan, result=result)
 
 
 def _evaluate(cube: Cube, query: MdxQuery) -> Crosstab:

@@ -5,10 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.errors import OptimizationError
-from repro.olap.cube import Cube
-from repro.warehouse.dimension import Dimension
+from repro.errors import OptimizationError, WarehouseError
+from repro.olap.cube import Cube, CubeSnapshot, CubeState
+from repro.serving.epoch import next_epoch_id
+from repro.tabular.table import Table
+from repro.warehouse.dimension import UNKNOWN_KEY, Dimension
 from repro.warehouse.dynamic import DynamicWarehouse
+from repro.warehouse.star import StarSchema
 
 
 @dataclass(frozen=True)
@@ -111,9 +114,11 @@ def check_dimension_consistency(
     """Verify the paper's claim: the optimum survives dimension changes.
 
     Dimensions named in ``removable`` (none of which may appear in
-    ``levels``) are removed one at a time and re-attached; each entry of
-    ``addable`` is attached and detached likewise.  The warehouse is left
-    in its original composition, dimension order included.
+    ``levels``) are removed one at a time; each entry of ``addable`` is
+    attached likewise, its fact keys defaulting to Unknown.  Each change
+    is a what-if view over one flattening of the warehouse — the flat
+    view with that dimension's columns dropped or added — so the
+    warehouse itself is never changed.
     """
     cube = Cube(warehouse)
     baseline = find_optimal_aggregate(
@@ -121,33 +126,42 @@ def check_dimension_consistency(
     )
     used_dims = {cube.check_level(level).split(".")[0] for level in levels}
     report = ConsistencyReport(baseline)
+    state = cube._current_state()
+
+    def optimum(flat: Table, qattrs: dict) -> OptimalAggregate:
+        view = CubeState(next_epoch_id(), state.schema_version, flat, qattrs)
+        return find_optimal_aggregate(
+            CubeSnapshot(cube, view), levels, target, aggregation, direction,
+            min_records,
+        )
 
     for name in removable or []:
         if name in used_dims:
             raise OptimizationError(
                 f"cannot remove dimension {name!r}: it carries a grouping level"
             )
-        key_col = f"{name}_key"
-        saved_keys = [row[key_col] for row in warehouse.schema.fact._rows]
-        position = warehouse.dimension_names.index(name)
-        removed = warehouse.remove_dimension(name)
-        try:
-            found = find_optimal_aggregate(
-                Cube(warehouse), levels, target, aggregation, direction, min_records
-            )
-            report.perturbations.append((f"remove {name}", found))
-        finally:
-            warehouse.add_dimension(
-                removed, fact_keys=saved_keys, position=position
-            )
+        if name not in warehouse.dimension_names:
+            raise WarehouseError(f"warehouse has no dimension {name!r}")
+        dropped = [q for q, (dim, _) in state.qattrs.items() if dim == name]
+        kept = {q: v for q, v in state.qattrs.items() if v[0] != name}
+        found = optimum(state.flat.drop(*dropped), kept)
+        report.perturbations.append((f"remove {name}", found))
 
     for dimension, keys in addable:
-        warehouse.add_dimension(dimension, fact_keys=keys)
-        try:
-            found = find_optimal_aggregate(
-                Cube(warehouse), levels, target, aggregation, direction, min_records
+        if dimension.name in warehouse.schema.dimensions:
+            raise WarehouseError(
+                f"warehouse already has a dimension named {dimension.name!r}"
             )
-            report.perturbations.append((f"add {dimension.name}", found))
-        finally:
-            warehouse.remove_dimension(dimension.name)
+        rows = state.flat.num_rows
+        if keys is None:
+            keys = [UNKNOWN_KEY] * rows
+        elif len(keys) != rows:
+            raise WarehouseError(f"{len(keys)} keys supplied for {rows} fact rows")
+        flat, qattrs = state.flat, dict(state.qattrs)
+        added = StarSchema.dimension_columns(dimension, [int(k) for k in keys])
+        for qualified, column in added.items():
+            flat = flat.with_column(qualified, column)
+            qattrs[qualified] = (dimension.name, qualified.split(".", 1)[1])
+        found = optimum(flat, qattrs)
+        report.perturbations.append((f"add {dimension.name}", found))
     return report

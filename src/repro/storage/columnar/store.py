@@ -279,9 +279,9 @@ class PartitionedStore:
         """Zone-map row estimate for ``scan_filter`` — never scans.
 
         Pruned segments contribute nothing; each survivor contributes
-        its :func:`_estimate_rows` guess.  This is the base-scan work
-        estimate the cost-based planner compares lattice nodes against,
-        so it must stay cheap (a pure zone-map walk).
+        its :func:`_estimate_rows` guess.  Every filtered base scan
+        stamps it on its span as ``est_rows``, so it must stay cheap (a
+        pure zone-map walk).
         """
         total = 0
         for segment in self.segments:

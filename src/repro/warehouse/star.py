@@ -151,24 +151,34 @@ class StarSchema:
         facts = self.fact.to_table() if start == 0 else self.fact.to_table_from(start)
         columns: dict[str, Column] = {}
         for dim_name in self.fact.dimension_names:
-            dimension = self.dimension(dim_name)
-            keys = facts.column(f"{dim_name}_key").to_list()
-            if isinstance(dimension, SnowflakeDimension):
-                attrs = dimension.resolved_attributes()
-                members = {
-                    k: dimension.member_resolved(k)
-                    for k in set(keys)  # type: ignore[arg-type]
-                }
-            else:
-                attrs = list(dimension.attributes)
-                members = {k: dimension.member(k) for k in set(keys)}  # type: ignore[arg-type]
-            for attr in attrs:
-                dtype = self._attr_dtype(dimension, attr)
-                values = [members[k][attr] for k in keys]
-                columns[f"{dim_name}.{attr}"] = Column.from_values(values, dtype=dtype)
+            columns.update(
+                self.dimension_columns(
+                    self.dimension(dim_name),
+                    facts.column(f"{dim_name}_key").to_list(),
+                )
+            )
         for measure_name, measure in self.fact.measures.items():
             columns[measure_name] = facts.column(measure_name)
         return Table(columns)
+
+    @classmethod
+    def dimension_columns(
+        cls, dimension: Dimension, keys: list[int]
+    ) -> dict[str, Column]:
+        """``dim.attr`` → column of ``dimension``'s attributes, one row per key."""
+        if isinstance(dimension, SnowflakeDimension):
+            attrs = dimension.resolved_attributes()
+            members = {k: dimension.member_resolved(k) for k in set(keys)}
+        else:
+            attrs = list(dimension.attributes)
+            members = {k: dimension.member(k) for k in set(keys)}
+        return {
+            f"{dimension.name}.{attr}": Column.from_values(
+                [members[k][attr] for k in keys],
+                dtype=cls._attr_dtype(dimension, attr),
+            )
+            for attr in attrs
+        }
 
     @staticmethod
     def _attr_dtype(dimension: Dimension, attr: str) -> DType:

@@ -99,6 +99,35 @@ class TestFacade:
         recovered = DDDGMS.recover(tmp_path / "sys")
         assert recovered.warehouse.dimension_names == names
 
+    def test_consistency_check_does_not_write_to_the_warehouse(self):
+        """The probe reads: no model version, journal entry or grain change.
+
+        It used to remove and re-add each dimension on the live warehouse
+        (outside the writer lock), moving ``version`` from 1 to 5 here.
+        """
+        live = DDDGMS(DiScRiGenerator(n_patients=80, seed=5).generate())
+        warehouse = live.warehouse
+        version, history = warehouse.version, warehouse.describe_history()
+        names = warehouse.dimension_names
+        report = live.check_optimum_consistency(
+            ["conditions.age_band", "personal.gender"], "fbg",
+            min_records=5, removable=["exercise", "ecg"],
+        )
+        assert warehouse.version == version
+        assert warehouse.describe_history() == history
+        assert warehouse.dimension_names == names
+        # the verdicts the mutating check gave on this cohort
+        assert report.baseline.cell == ("40-60", "F")
+        assert report.baseline.value == pytest.approx(6.319565217391306)
+        assert [action for action, _ in report.perturbations] == [
+            "remove exercise", "remove ecg",
+        ]
+        for _, found in report.perturbations:
+            assert (found.cell, found.value) == (
+                report.baseline.cell, report.baseline.value,
+            )
+        assert report.consistent
+
     def test_record_finding(self, system):
         system.record_finding(
             "test.finding", FindingKind.AGGREGATE, "statement",

@@ -237,3 +237,38 @@ class TestEvaluator:
                 assert builder_grid.value(row_key, col_key) == mdx_grid.value(
                     row_key, col_key
                 )
+
+
+class TestParseOnce:
+    QUERY = (
+        "SELECT [p].[gender].MEMBERS ON COLUMNS, "
+        "[p].[band].MEMBERS ON ROWS FROM discri"
+    )
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        from repro.olap.mdx import evaluator
+
+        calls = []
+
+        def counted(source):
+            calls.append(source)
+            return parse_mdx(source)
+
+        monkeypatch.setattr(evaluator, "parse_mdx", counted)
+        return calls
+
+    def test_a_text_query_is_parsed_once(self, mdx_cube, parses):
+        execute_mdx(mdx_cube, self.QUERY)
+        assert parses == [self.QUERY]
+
+    def test_an_explain_query_is_parsed_once_and_shows_the_parse(
+        self, mdx_cube, parses
+    ):
+        report = execute_mdx(mdx_cube, "EXPLAIN " + self.QUERY)
+        assert len(parses) == 1
+        stages = [node.op for node in report.plan.children]
+        assert stages[0] == "mdx.parse"
+        parse = report.plan.children[0]
+        assert parse.attrs["chars"] == len("EXPLAIN " + self.QUERY)
+        assert 0 < parse.duration_ms <= report.total_ms

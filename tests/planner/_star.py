@@ -1,4 +1,4 @@
-"""Shared planner-suite helpers: one tiny star, forced calibrations.
+"""Shared planner-suite helpers: one tiny star and its base-scan oracle.
 
 The star has three levels (``d1.a`` x4, ``d1.b`` x3, ``d2.c`` x5), an
 additive int measure ``m`` and a non-additive float measure ``v`` with
@@ -10,7 +10,6 @@ per example.
 from __future__ import annotations
 
 from repro.olap.cube import Cube
-from repro.planner import QueryPlanner
 from repro.tabular.table import Table
 from repro.warehouse.dimension import Dimension
 from repro.warehouse.fact import Measure
@@ -47,12 +46,12 @@ def base_scan(cube, levels, aggregations=None, filters=None, *, state=None):
     """The route-parity oracle: the request answered by the base scan alone.
 
     Drives the pipeline's bottom rung directly (plan, then scan) — no
-    cache, no lattice, no workload recording — so using it between
-    routed queries leaves the planner's calibrations untouched.
+    cache, no lattice — so using it between routed queries leaves the
+    lattice's hit counts and the planner's route counts untouched.
     """
     state = state if state is not None else cube._current_state()
     plan = cube._plan(state, levels, aggregations, filters)
-    return cube._scan_base(plan, state).table
+    return cube._scan_base(plan, state)
 
 
 def default_rows(n: int = 24) -> list[dict]:
@@ -70,15 +69,3 @@ def default_rows(n: int = 24) -> list[dict]:
         )
     return rows
 
-
-def calibrate(planner: QueryPlanner, cheap: str) -> None:
-    """Inject synthetic samples so ``cheap`` ("node"/"base") always wins.
-
-    The expensive route gets a huge per-call floor, the cheap one a tiny
-    rate and floor, and both reach ``min_samples`` — so the router is
-    calibrated and every cost comparison resolves the same way.
-    """
-    expensive = "base" if cheap == "node" else "node"
-    for _ in range(planner.config.min_samples):
-        planner.observe_route(cheap, 0.0001, 1_000_000)
-        planner.observe_route(expensive, 1000.0, 1)

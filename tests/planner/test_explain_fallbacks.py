@@ -2,26 +2,19 @@
 
 Regression suite for the formerly-invisible epoch-guard fallback: a
 reader holding a stale snapshot silently base-scanned with no span, so
-staleness was indistinguishable from a planner re-route in ``explain()``.
-Now all three fallback flavours stamp a ``fallback_reason`` on the
-``lattice.lookup`` span — ``epoch_mismatch`` (staleness guard),
-``no_covering_node`` (coverage miss) and ``planner_cost`` (the router
-preferred the pruned scan) — and ``ExplainReport.fallback_reasons()``
-tells them apart while ``LatticeStats.fallbacks`` counts them all.
+staleness was indistinguishable from a coverage miss in ``explain()``.
+Now both fallback flavours stamp a ``fallback_reason`` on the
+``lattice.lookup`` span — ``epoch_mismatch`` (staleness guard) and
+``no_covering_node`` (coverage miss) — and
+``ExplainReport.fallback_reasons()`` tells them apart while
+``LatticeStats.fallbacks`` counts them all.
 """
 
 from __future__ import annotations
 
 from repro.obs.explain import ExplainReport, profile
 from repro.olap.materialized import MaterializedCube
-from repro.planner import QueryPlanner
-from tests.planner._star import (
-    LEVELS,
-    base_scan,
-    build_cube,
-    calibrate,
-    default_rows,
-)
+from tests.planner._star import LEVELS, base_scan, build_cube, default_rows
 
 AGGS = {"n": ("records", "size"), "total": ("m", "sum")}
 
@@ -60,23 +53,6 @@ def test_no_covering_node_fallback_is_visible():
     assert lattice.stats.fallbacks == before + 1
 
 
-def test_planner_cost_reroute_has_its_own_reason():
-    cube = build_cube(default_rows())
-    lattice = MaterializedCube(cube).materialize([list(LEVELS)])
-    cube.attach_lattice(lattice)
-    planner = QueryPlanner()
-    calibrate(planner, cheap="base")  # the scan always wins the costing
-    cube.attach_planner(planner)
-    before = lattice.stats.fallbacks
-    report = _report(lambda: cube.aggregate(["d1.a"], AGGS))
-    assert report.fallback_reasons() == ["planner_cost"]
-    assert lattice.stats.fallbacks == before + 1
-    # a re-route is a planned stage: its span carries the estimate too
-    lookup = report.plan.find("lattice.lookup")
-    assert lookup is not None
-    assert "est_cost_ms" in lookup.attrs
-
-
 def test_lattice_hits_report_no_fallback_reason():
     cube = build_cube(default_rows())
     lattice = MaterializedCube(cube).materialize([list(LEVELS)])
@@ -86,8 +62,8 @@ def test_lattice_hits_report_no_fallback_reason():
     assert lattice.stats.exact_hits + lattice.stats.rollup_hits == 1
 
 
-def test_the_three_fallback_reasons_are_distinguishable():
-    """One suite-level check: staleness ≠ coverage miss ≠ planner re-route."""
+def test_the_two_fallback_reasons_are_distinguishable():
+    """One suite-level check: staleness ≠ coverage miss."""
     seen: dict[str, str] = {}
 
     # staleness guard
@@ -105,18 +81,4 @@ def test_the_three_fallback_reasons_are_distinguishable():
         lambda: cube2.aggregate(["d2.c"], AGGS)
     ).fallback_reasons()[0]
 
-    # cost-based re-route
-    cube3 = build_cube(default_rows())
-    cube3.attach_lattice(MaterializedCube(cube3).materialize([list(LEVELS)]))
-    planner = QueryPlanner()
-    calibrate(planner, cheap="base")
-    cube3.attach_planner(planner)
-    seen["rerouted"] = _report(
-        lambda: cube3.aggregate(["d1.a"], AGGS)
-    ).fallback_reasons()[0]
-
-    assert seen == {
-        "stale": "epoch_mismatch",
-        "uncovered": "no_covering_node",
-        "rerouted": "planner_cost",
-    }
+    assert seen == {"stale": "epoch_mismatch", "uncovered": "no_covering_node"}

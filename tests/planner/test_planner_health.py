@@ -1,4 +1,4 @@
-"""``ingest_health()["planner"]`` is the attached planner's own snapshot."""
+"""``ingest_health()["planner"]`` is the planner's own snapshot."""
 
 from __future__ import annotations
 
@@ -17,14 +17,7 @@ def test_ingest_health_reports_the_planner_snapshot():
 
     planner_health = system.ingest_health()["planner"]
     assert planner_health == system.planner.snapshot()
-    assert set(planner_health) == {
-        "active", "cost_model", "workload", "routes_chosen",
-    }
-    calibrations = planner_health["workload"]["calibrations"]
-    assert set(calibrations) == {"node", "base"}
-    assert calibrations["node"]["samples"] == 1  # the covered roll-up
-    assert calibrations["base"]["samples"] == 1  # distinct counts scan
-    assert planner_health["routes_chosen"] == {"node:cold_stats": 1}
-
-    system.attach_planner(None)
-    assert system.ingest_health()["planner"] is None
+    # the covered roll-up was routed to a node; the distinct count had
+    # no covering node, so it scanned and is counted as a lattice fallback
+    assert planner_health == {"routes_chosen": {"node": 1}}
+    assert system.cube.lattice.stats.fallbacks == 1

@@ -1,13 +1,10 @@
-"""Oracle-backed route parity: every plannable route ≡ the base scan.
+"""Oracle-backed route parity: every lattice route ≡ the base scan.
 
-The planner may answer a covered query three ways — the exact/finer
-materialized node, a partial rollup from a coarser-grained query over
-that node, or a (possibly re-routed) base scan.  Whatever it picks must
-be **byte-identical** to the un-planned base-scan oracle.  Hypothesis
-drives random tables, grouping sets (the empty one, a grand total,
-included), aggregation mixes and predicates through all three routes;
-each route is forced via injected calibrations so the property genuinely
-exercises the router rather than whatever the timings happen to prefer.
+A covered query is answered from the smallest covering node — as an
+exact hit, or as a partial rollup of a finer node.  Either answer must
+be **byte-identical** to the base-scan oracle.  Hypothesis drives random
+tables, grouping sets (the empty one, a grand total, included),
+aggregation mixes and predicates through both.
 """
 
 from __future__ import annotations
@@ -16,10 +13,9 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.olap.materialized import MaterializedCube
-from repro.planner import QueryPlanner
 from repro.tabular.expressions import col
 
-from tests.planner._star import LEVELS, base_scan, build_cube, calibrate
+from tests.planner._star import LEVELS, base_scan, build_cube
 
 #: output name -> (target, func); ``v`` is non-additive so no sum
 AGG_CHOICES = {
@@ -83,14 +79,11 @@ def _filters(predicate):
     return col(column).eq(value)
 
 
-def _run_route(rows, levels, aggregations, predicate, cheap):
-    """Build a planner-routed cube, answer, and return (result, oracle, lookup)."""
+def _run_route(rows, levels, aggregations, predicate):
+    """Build a lattice-routed cube, answer, and return (result, oracle, lattice)."""
     cube = build_cube(rows)
     lattice = MaterializedCube(cube).materialize([list(LEVELS)])
     cube.attach_lattice(lattice)
-    planner = QueryPlanner()
-    calibrate(planner, cheap=cheap)
-    cube.attach_planner(planner)
     routed = cube.aggregate(levels, aggregations, filters=_filters(predicate))
     oracle = base_scan(
         cube, levels, aggregations, filters=_filters(predicate)
@@ -103,25 +96,10 @@ def _run_route(rows, levels, aggregations, predicate, cheap):
 def test_node_route_matches_base_oracle(case):
     """Node answers (exact hits and partial rollups) are byte-identical."""
     rows, levels, aggregations, predicate = case
-    routed, oracle, lattice = _run_route(
-        rows, levels, aggregations, predicate, cheap="node"
-    )
+    routed, oracle, lattice = _run_route(rows, levels, aggregations, predicate)
     assert routed.equals(oracle)
-    # the cheap-node calibration must actually keep the lattice route
+    # the full-grain node covers every case: the lattice answered it
     assert lattice.stats.exact_hits + lattice.stats.rollup_hits == 1
-
-
-@given(cases())
-@settings(max_examples=30, deadline=None)
-def test_planner_reroute_matches_base_oracle(case):
-    """Cost re-routes to the base scan answer exactly like the oracle."""
-    rows, levels, aggregations, predicate = case
-    routed, oracle, lattice = _run_route(
-        rows, levels, aggregations, predicate, cheap="base"
-    )
-    assert routed.equals(oracle)
-    # the cheap-base calibration must actually force the re-route
-    assert lattice.stats.fallbacks == 1
 
 
 @given(cases())
@@ -135,9 +113,6 @@ def test_partial_rollup_from_coarser_node(case):
     cube = build_cube(rows)
     lattice = MaterializedCube(cube).materialize([list(LEVELS)])
     cube.attach_lattice(lattice)
-    planner = QueryPlanner()
-    calibrate(planner, cheap="node")
-    cube.attach_planner(planner)
     routed = cube.aggregate(sub_levels, aggregations, filters=_filters(predicate))
     oracle = base_scan(
         cube, sub_levels, aggregations, filters=_filters(predicate)

@@ -445,26 +445,21 @@ class TestDegradationLadder:
         # regression: the lattice rung re-raised OLAPError without telling
         # the breaker, so the half-open probe stayed "in flight" forever
         # and every later query was rejected onto the base scan
-        planner = system.planner
-        system.attach_planner(None)  # fixed routing: covered => lattice hit
-        try:
-            brk = breaker(
-                "lattice", BreakerConfig(failure_threshold=1, reset_after_s=0.0)
-            )
-            brk.record_failure()
-            assert brk.state == "half-open"
-            levels = ["conditions.age_band", "personal.gender"]
-            with pytest.raises(OLAPError):
-                system.cube.aggregate(levels, {"m": ("fbg", "median")})
-            stats = system.cube.lattice.stats
-            hits = stats.exact_hits + stats.rollup_hits
-            for _ in range(5):
-                system.cube.aggregate(levels)
-            assert stats.exact_hits + stats.rollup_hits == hits + 5
-            assert brk.stats.rejections == 0
-            assert brk.state == "closed"
-        finally:
-            system.attach_planner(planner)
+        brk = breaker(
+            "lattice", BreakerConfig(failure_threshold=1, reset_after_s=0.0)
+        )
+        brk.record_failure()
+        assert brk.state == "half-open"
+        levels = ["conditions.age_band", "personal.gender"]
+        with pytest.raises(OLAPError):
+            system.cube.aggregate(levels, {"m": ("fbg", "median")})
+        stats = system.cube.lattice.stats
+        hits = stats.exact_hits + stats.rollup_hits
+        for _ in range(5):
+            system.cube.aggregate(levels)
+        assert stats.exact_hits + stats.rollup_hits == hits + 5
+        assert brk.stats.rejections == 0
+        assert brk.state == "closed"
 
     def test_half_open_cache_probe_is_released_by_a_simulated_crash(self, system):
         # in-process chaos harnesses catch SimulatedCrash and carry on; the
